@@ -5,18 +5,17 @@ q-Bernstein generalizations."""
 from .core import (
     BernsteinMatrix,
     ConditioningError,
-    EXACT_BINOMIAL_CAP,
     LIMIT_DEGREE_CAP,
     UniformSamples,
     basis_eval,
     basis_vector,
-    bernstein_apply,
     bernstein_matrix,
     binomial,
 )
 from .iterated import (
     INFINITY,
     IterCoefficients,
+    bernstein_apply,
     coefficients,
     error_estimate,
     eval_iterated,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BernsteinMatrix",
     "ConditioningError",
-    "EXACT_BINOMIAL_CAP",
     "INFINITY",
     "IterCoefficients",
     "LIMIT_DEGREE_CAP",

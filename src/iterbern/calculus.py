@@ -1,8 +1,9 @@
 """Derivatives, integrals and the integral-free quadrature rule.
 
-Derivatives of iterated approximants come from forward differences of the
-operator-iterate samples; integrals reduce to the cumulative basis
-integrals S_ni, which are themselves sums of a degree-elevated basis.
+Derivatives of iterated approximants come from forward differences of their
+coefficients, d^r/dt^r sum c_i B_ni = n!/(n-r)! sum (Delta^r c)_i B_{n-r,i};
+integrals reduce to the cumulative basis integrals S_ni, which are
+themselves sums of a degree-elevated basis.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import math
 
 import numpy as np
 
-from .core import UniformSamples, basis_vector, bernstein_matrix, binomial
-from .iterated import INFINITY, IterCoefficients, coefficients, eval_iterated
+from .core import UniformSamples, basis_vector
+from .iterated import IterCoefficients, coefficients
 
 
 def forward_difference(values, r: int, i: int) -> float:
@@ -24,44 +25,22 @@ def forward_difference(values, r: int, i: int) -> float:
         raise ValueError(
             f"difference window [{i}, {i + r}] exceeds {len(values) - 1}"
         )
-    acc = 0.0
-    for m in range(r + 1):
-        acc += binomial(r, m) * (-1.0) ** m * values[i + r - m]
-    return acc
+    return float(np.diff(values[i : i + r + 1], r)[0])
 
 
-def difference_table(values, r: int) -> np.ndarray:
-    """All r-th forward differences of a sample vector at once."""
-    return np.diff(np.asarray(values, dtype=float), r) if r else np.asarray(values, float)
-
-
-def derivative_eval(samples: UniformSamples, k: int, r: int, t: float) -> float:
+def derivative_eval(samples: UniformSamples, k, r: int, t: float) -> float:
     """r-th derivative of the order-k iterated approximant at t.
 
-    r = 0 is accepted and forwards to plain evaluation, so grid sweeps can
-    treat the value and its derivatives uniformly.
+    k may be INFINITY. r = 0 is plain evaluation, so grid sweeps can treat
+    the value and its derivatives uniformly.
     """
     n = samples.n
     if r < 0:
         raise ValueError(f"derivative order must be nonnegative, got r={r}")
     if r > n:
         raise ValueError(f"derivative order r={r} exceeds degree n={n}")
-    if k < 1:
-        raise ValueError(f"iteration order must be >= 1, got k={k}")
-    if r == 0:
-        return eval_iterated(coefficients(samples, k), t)
-    matrix = bernstein_matrix(n).entries
-    # Node samples of the operator iterates B^{j-1} f, built once per call.
-    falling = 1.0
-    for m in range(r):
-        falling *= n - m
-    g = samples.values
-    combo = np.zeros(n + 1 - r)
-    for j in range(1, k + 1):
-        combo += (-1.0) ** (j - 1) * binomial(k, j) * np.diff(g, r)
-        if j < k:
-            g = g @ matrix
-    return falling * float(combo @ basis_vector(n - r, t))
+    c = coefficients(samples, k).coeffs
+    return math.perm(n, r) * float(np.diff(c, r) @ basis_vector(n - r, t))
 
 
 def basis_integral_vector(n: int, x: float) -> np.ndarray:

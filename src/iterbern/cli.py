@@ -14,11 +14,12 @@ import argparse
 import csv
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
 from .calculus import derivative_eval, quadrature
-from .core import ConditioningError, LIMIT_DEGREE_CAP, UniformSamples, bernstein_matrix
+from .core import ConditioningError, UniformSamples, bernstein_matrix
 from .iterated import INFINITY, coefficients, eval_iterated
 from .functions import registry_lookup, registry_names
 from .qbern import QContext, q_coefficients, q_eval
@@ -98,7 +99,10 @@ def load_samples(path: str) -> UniformSamples:
         raise UsageError(
             f"samples file {path}: expected {n + 1} values for n={n}, got {len(values)}"
         )
-    return UniformSamples(n, np.array(values))
+    try:
+        return UniformSamples(n, np.array(values))
+    except ValueError as exc:
+        raise UsageError(f"samples file {path}: {exc}")
 
 
 def write_csv(path: str, meta: dict, header: list, rows: list):
@@ -111,62 +115,76 @@ def write_csv(path: str, meta: dict, header: list, rows: list):
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
+def write_grid_report(args, meta: dict, axis: str, grid, truth, prefix: str, columns) -> int:
+    """Write a grid report to args.out: one CSV row per grid point holding
+    the point, then truth(point) when truth is given, then each column's
+    value and its error against truth.
+
+    meta holds the '# key=value' lines that follow operation and function.
+    columns holds (k, evaluate) pairs; the value column of order k is named
+    <prefix>_k<k> and its error column err_k<k>.
+    """
+    source = args.fn or getattr(args, "samples", None)
+    meta = {"operation": args.command, "function": source, **meta}
+    has_truth = truth is not None
+    header = [axis] + (["truth"] if has_truth else [])
+    for k, _ in columns:
+        header += [f"{prefix}_k{k_label(k)}"] + ([f"err_k{k_label(k)}"] if has_truth else [])
+    rows = []
+    for x in grid:
+        row = [float(x)]
+        if has_truth:
+            exact = float(truth(x))
+            row.append(exact)
+        for _, evaluate in columns:
+            v = evaluate(float(x))
+            row += [v, v - exact] if has_truth else [v]
+        rows.append(row)
+    write_csv(args.out, meta, header, rows)
+    return 0
+
+
+def lookup_function(name: str):
+    """Registry function by name; an unknown name is a usage error."""
+    try:
+        return registry_lookup(name)
+    except KeyError as exc:
+        raise UsageError(str(exc))
+
+
+def finite_k_list(args) -> list:
+    """The --k list of a command that has no k = inf path."""
+    k_list = parse_k_list(args.k)
+    if INFINITY in k_list:
+        raise UsageError(f"{args.command} supports finite k only")
+    return k_list
+
+
 def resolve_function(args):
-    """Return (fn_or_None, samples_or_None) from --fn/--samples flags."""
-    fn_name = getattr(args, "fn", None)
-    samples_path = getattr(args, "samples", None)
-    if fn_name and samples_path:
+    """Return (fn_or_None, samples) from --fn/--samples flags; a registry
+    function is sampled at degree --n."""
+    if args.fn and args.samples:
         raise UsageError("--fn and --samples are mutually exclusive")
-    if fn_name:
-        try:
-            return registry_lookup(fn_name), None
-        except KeyError as exc:
-            raise UsageError(str(exc))
-    if samples_path:
-        return None, load_samples(samples_path)
+    if args.fn:
+        fn = lookup_function(args.fn)
+        return fn, UniformSamples.from_function(fn, args.n)
+    if args.samples:
+        return None, load_samples(args.samples)
     raise UsageError("one of --fn or --samples is required")
 
 
 def cmd_approx(args) -> int:
     fn, samples = resolve_function(args)
     k_list = parse_k_list(args.k)
-    n = args.n if fn is not None else samples.n
-    if fn is not None:
-        samples = UniformSamples.from_function(fn, n)
-    if any(k == INFINITY for k in k_list) and n > LIMIT_DEGREE_CAP and not args.force:
-        raise ConditioningError(
-            f"k=inf with n={n} above the cap {LIMIT_DEGREE_CAP}; pass --force"
-        )
+    n = samples.n
     matrix = bernstein_matrix(n)
-    coeff_sets = [coefficients(samples, k, force=args.force, matrix=matrix) for k in k_list]
+    columns = [
+        (k, partial(eval_iterated, coefficients(samples, k, force=args.force, matrix=matrix)))
+        for k in k_list
+    ]
+    meta = {"n": n, "k": ",".join(map(k_label, k_list))}
     grid = np.linspace(0.0, 1.0, args.grid)
-    header = ["t"]
-    if fn is not None:
-        header.append("truth")
-    for k in k_list:
-        header.append(f"approx_k{k_label(k)}")
-        if fn is not None:
-            header.append(f"err_k{k_label(k)}")
-    rows = []
-    for t in grid:
-        row = [float(t)]
-        truth = float(fn(t)) if fn is not None else None
-        if truth is not None:
-            row.append(truth)
-        for c in coeff_sets:
-            v = eval_iterated(c, float(t))
-            row.append(v)
-            if truth is not None:
-                row.append(v - truth)
-        rows.append(row)
-    meta = {
-        "operation": "approx",
-        "function": args.fn or args.samples,
-        "n": n,
-        "k": ",".join(k_label(k) for k in k_list),
-    }
-    write_csv(args.out, meta, header, rows)
-    return 0
+    return write_grid_report(args, meta, "t", grid, fn, "approx", columns)
 
 
 def cmd_table(args) -> int:
@@ -200,51 +218,19 @@ def cmd_table(args) -> int:
 
 def cmd_derivative(args) -> int:
     fn, samples = resolve_function(args)
-    k_list = parse_k_list(args.k)
-    if any(k == INFINITY for k in k_list):
-        raise UsageError("derivative supports finite k only")
-    n = args.n if fn is not None else samples.n
+    k_list = finite_k_list(args)
+    n = samples.n
     if args.r > n:
         raise UsageError(f"r={args.r} exceeds degree n={n}")
-    if fn is not None:
-        samples = UniformSamples.from_function(fn, n)
-    truth_deriv = fn.derivative if (fn is not None and args.r == 1) else None
+    truth = fn.derivative if (fn is not None and args.r == 1) else None
+    columns = [(k, partial(derivative_eval, samples, k, args.r)) for k in k_list]
+    meta = {"n": n, "k": ",".join(map(k_label, k_list)), "r": args.r}
     grid = np.linspace(0.0, 1.0, args.grid)
-    header = ["t"]
-    if truth_deriv is not None:
-        header.append("truth")
-    for k in k_list:
-        header.append(f"d{args.r}_k{k}")
-        if truth_deriv is not None:
-            header.append(f"err_k{k}")
-    rows = []
-    for t in grid:
-        row = [float(t)]
-        truth = float(truth_deriv(t)) if truth_deriv is not None else None
-        if truth is not None:
-            row.append(truth)
-        for k in k_list:
-            v = derivative_eval(samples, k, args.r, float(t))
-            row.append(v)
-            if truth is not None:
-                row.append(v - truth)
-        rows.append(row)
-    meta = {
-        "operation": "derivative",
-        "function": args.fn or args.samples,
-        "n": n,
-        "k": ",".join(str(k) for k in k_list),
-        "r": args.r,
-    }
-    write_csv(args.out, meta, header, rows)
-    return 0
+    return write_grid_report(args, meta, "t", grid, truth, f"d{args.r}", columns)
 
 
 def cmd_integrate(args) -> int:
-    try:
-        fn = registry_lookup(args.fn)
-    except KeyError as exc:
-        raise UsageError(str(exc))
+    fn = lookup_function(args.fn)
     k_list = parse_k_list(args.k)
     if len(k_list) != 1:
         raise UsageError("integrate takes a single k")
@@ -256,76 +242,41 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_szasz(args) -> int:
+    fn = lookup_function(args.fn)
+    k_list = finite_k_list(args)
     try:
-        fn = registry_lookup(args.fn)
-    except KeyError as exc:
+        ctx = SzaszContext(args.n, args.xmax, args.tail_tol)
+    except ValueError as exc:
         raise UsageError(str(exc))
-    k_list = parse_k_list(args.k)
-    if any(k == INFINITY for k in k_list):
-        raise UsageError("szasz supports finite k only")
-    ctx = SzaszContext(args.n, args.xmax, args.tail_tol)
-    coeff_sets = [szasz_coefficients(fn, ctx, k) for k in k_list]
-    grid = np.linspace(0.0, args.xmax, args.grid)
-    header = ["x", "truth"]
-    for k in k_list:
-        header += [f"approx_k{k}", f"err_k{k}"]
-    rows = []
-    for x in grid:
-        truth = float(fn(x))
-        row = [float(x), truth]
-        for c in coeff_sets:
-            v = szasz_eval(ctx, c, float(x))
-            row += [v, v - truth]
-        rows.append(row)
+    columns = [(k, partial(szasz_eval, ctx, szasz_coefficients(fn, ctx, k))) for k in k_list]
     meta = {
-        "operation": "szasz",
-        "function": args.fn,
         "n": args.n,
-        "k": ",".join(str(k) for k in k_list),
+        "k": ",".join(map(k_label, k_list)),
         "x_max": args.xmax,
         "tail_tol": args.tail_tol,
         "M": ctx.M,
     }
-    write_csv(args.out, meta, header, rows)
-    return 0
+    grid = np.linspace(0.0, args.xmax, args.grid)
+    return write_grid_report(args, meta, "x", grid, fn, "approx", columns)
 
 
 def cmd_qbernstein(args) -> int:
-    try:
-        fn = registry_lookup(args.fn)
-    except KeyError as exc:
-        raise UsageError(str(exc))
-    k_list = parse_k_list(args.k)
-    if any(k == INFINITY for k in k_list):
-        raise UsageError("qbernstein supports finite k only")
+    fn = lookup_function(args.fn)
+    k_list = finite_k_list(args)
     try:
         ctx = QContext(args.q, args.n)
     except ValueError as exc:
         raise UsageError(str(exc))
     node_values = np.array([float(fn(x)) for x in ctx.nodes])
-    coeff_sets = [q_coefficients(ctx, node_values, k) for k in k_list]
-    grid = np.linspace(0.0, 1.0, args.grid)
-    header = ["t", "truth"]
-    for k in k_list:
-        header += [f"approx_k{k}", f"err_k{k}"]
-    rows = []
-    for t in grid:
-        truth = float(fn(t))
-        row = [float(t), truth]
-        for c in coeff_sets:
-            v = q_eval(ctx, c, float(t))
-            row += [v, v - truth]
-        rows.append(row)
+    columns = [(k, partial(q_eval, ctx, q_coefficients(ctx, node_values, k))) for k in k_list]
     meta = {
-        "operation": "qbernstein",
-        "function": args.fn,
         "n": args.n,
         "q": args.q,
-        "k": ",".join(str(k) for k in k_list),
+        "k": ",".join(map(k_label, k_list)),
         "nodes": ",".join(repr(float(v)) for v in ctx.nodes),
     }
-    write_csv(args.out, meta, header, rows)
-    return 0
+    grid = np.linspace(0.0, 1.0, args.grid)
+    return write_grid_report(args, meta, "t", grid, fn, "approx", columns)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,17 +286,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_fn_flags(p, samples_ok=True):
-        p.add_argument("--fn", help=f"function name ({', '.join(registry_names())})")
+    def add_grid_flags(p, n_default, samples_ok=False):
+        p.add_argument("--fn", required=not samples_ok,
+                       help=f"function name ({', '.join(registry_names())})")
         if samples_ok:
             p.add_argument("--samples", help="samples file (line 1: n, then f(i/n))")
+        p.add_argument("--n", type=int, default=n_default)
+        p.add_argument("--k", default="1", help="comma list of orders (approx also takes inf)")
+        p.add_argument("--grid", type=int, default=1001)
+        p.add_argument("--out", required=True)
 
     p = sub.add_parser("approx", help="evaluate iterated approximants on a grid")
-    add_fn_flags(p)
-    p.add_argument("--n", type=int, default=30)
-    p.add_argument("--k", default="1", help="comma list of orders, 'inf' allowed")
-    p.add_argument("--grid", type=int, default=1001)
-    p.add_argument("--out", required=True)
+    add_grid_flags(p, 30, samples_ok=True)
     p.add_argument("--force", action="store_true", help="override the k=inf degree cap")
     p.set_defaults(func=cmd_approx)
 
@@ -355,12 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("derivative", help="derivatives of iterated approximants")
-    add_fn_flags(p)
-    p.add_argument("--n", type=int, default=30)
-    p.add_argument("--k", default="1")
+    add_grid_flags(p, 30, samples_ok=True)
     p.add_argument("--r", type=int, default=1)
-    p.add_argument("--grid", type=int, default=1001)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_derivative)
 
     p = sub.add_parser("integrate", help="integral-free quadrature of a named function")
@@ -373,31 +321,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("szasz", help="iterated Szasz-Mirakyan approximants on a grid")
-    p.add_argument("--fn", required=True)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--k", default="1")
+    add_grid_flags(p, 10)
     p.add_argument("--xmax", type=float, default=8.0)
     p.add_argument("--tail-tol", type=float, default=1e-12, dest="tail_tol")
-    p.add_argument("--grid", type=int, default=1001)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_szasz)
 
     p = sub.add_parser("qbernstein", help="iterated q-Bernstein polynomials on a grid")
-    p.add_argument("--fn", required=True)
-    p.add_argument("--n", type=int, default=30)
+    add_grid_flags(p, 30)
     p.add_argument("--q", type=float, default=1.1)
-    p.add_argument("--k", default="1")
-    p.add_argument("--grid", type=int, default=1001)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_qbernstein)
 
     return parser
+
+
+def check_flags(args):
+    """Reject integer flag values below their minimum before any work starts."""
+    for flag, least in (("n", 1), ("grid", 1), ("r", 0)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            raise UsageError(f"--{flag} must be >= {least}, got {value}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_flags(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,11 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Exact integer accumulation is safe in a double up to here: C(60, 30) is
-# below 2**63 and converts to float without losing the oracle's exactness
-# at small n. Beyond the cap, log-space products take over.
-EXACT_BINOMIAL_CAP = 60
-
 # Degree above which the node-evaluation matrix is too ill-conditioned for
 # the k -> infinity linear solve in double precision.
 LIMIT_DEGREE_CAP = 30
@@ -32,18 +27,12 @@ class ConditioningError(ValueError):
 
 
 def binomial(n: int, i: int) -> float:
-    """Binomial coefficient C(n, i) as a float.
-
-    Exact for n <= EXACT_BINOMIAL_CAP (integer accumulation), log-space
-    product beyond that.
-    """
+    """Binomial coefficient C(n, i) as a float, correctly rounded."""
     if i < 0 or n < 0:
         raise ValueError(f"binomial requires nonnegative arguments, got ({n}, {i})")
     if i > n:
         raise ValueError(f"binomial index i={i} exceeds n={n}")
-    if n <= EXACT_BINOMIAL_CAP:
-        return float(math.comb(n, i))
-    return math.exp(math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1))
+    return float(math.comb(n, i))
 
 
 def basis_vector(n: int, t: float) -> np.ndarray:
@@ -101,11 +90,6 @@ class UniformSamples:
         return np.arange(self.n + 1) / self.n
 
 
-def bernstein_apply(samples: UniformSamples, t: float) -> float:
-    """Classical Bernstein approximant of degree n at t."""
-    return float(samples.values @ basis_vector(samples.n, t))
-
-
 @dataclass(frozen=True)
 class BernsteinMatrix:
     """Dense (n+1) x (n+1) matrix with entries B_{n,i}(j/n).
@@ -137,7 +121,16 @@ def bernstein_matrix(n: int) -> BernsteinMatrix:
             RuntimeWarning,
             stacklevel=2,
         )
-    entries = np.empty((n + 1, n + 1))
-    for j in range(n + 1):
-        entries[:, j] = basis_vector(n, j / n)
-    return BernsteinMatrix(n, entries)
+    return BernsteinMatrix(n, _node_matrix(lambda t: basis_vector(n, t), np.arange(n + 1) / n))
+
+
+def _node_matrix(basis, nodes) -> np.ndarray:
+    """Node-evaluation matrix of an operator family: column j is basis(nodes[j]).
+
+    Shared by the classical, Szasz-Mirakyan and q-Bernstein operators, whose
+    order-k coefficients all come from the same recurrence on this matrix.
+    """
+    entries = np.empty((len(nodes), len(nodes)))
+    for j, node in enumerate(nodes):
+        entries[:, j] = basis(node)
+    return entries

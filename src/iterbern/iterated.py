@@ -1,9 +1,12 @@
 """Iterated Bernstein coefficients: finite order k and the k -> infinity limit.
 
 The coefficient row vector of order k satisfies the recurrence
-F(k+1) = F(k)(I - B) + F(1) with F(1) the raw node samples; the limit
-solves X B = F(1), which makes the limiting approximant interpolate the
-samples at the nodes.
+F(k+1) = F(k)(I - B) + F(1) with F(1) the raw node samples, so that
+F(k) = F(1) (I + (I - B) + ... + (I - B)^(k-1)) (Kelisky & Rivlin). The
+recurrence is the same for every operator family; _iterate runs it on any
+node matrix, and the Szasz-Mirakyan and q-Bernstein modules call it with
+theirs. The limit solves X B = F(1), which makes the limiting approximant
+interpolate the samples at the nodes.
 """
 
 from __future__ import annotations
@@ -52,29 +55,39 @@ class IterCoefficients:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-def iterate_coefficients(
-    samples: UniformSamples, k: int, matrix: BernsteinMatrix | None = None
-) -> IterCoefficients:
-    """Coefficients of order k via the recurrence, one mat-vec per step.
+def _iterate(f1: np.ndarray, build_matrix, k: int) -> np.ndarray:
+    """Order-k coefficients F(k) from node values f1 and a family's node matrix.
 
-    Stops early once consecutive iterates agree to CONVERGENCE_TOL in max
-    norm; the remaining steps would only accumulate rounding noise.
+    build_matrix() is called only when k > 1, so order 1 costs no operator
+    build. Stops early once a step moves no coefficient by more than
+    CONVERGENCE_TOL * max|f1|; the rest would only add rounding noise. The
+    tolerance scales with f1 so that the result commutes with scaling f.
     """
     if k < 1:
         raise ValueError(f"iteration order must be >= 1, got k={k}")
     if k > MAX_ITERATIONS:
         raise ValueError(f"k={k} exceeds the iteration cap {MAX_ITERATIONS}")
-    if matrix is None:
-        matrix = bernstein_matrix(samples.n)
-    f1 = samples.values
     f = f1.copy()
+    if k == 1:
+        return f
+    matrix = build_matrix()
+    tol = CONVERGENCE_TOL * np.max(np.abs(f1))
     for _ in range(k - 1):
-        f_next = f - f @ matrix.entries + f1
-        if np.max(np.abs(f_next - f)) < CONVERGENCE_TOL:
-            f = f_next
-            break
+        f_next = f - f @ matrix + f1
+        if np.max(np.abs(f_next - f)) <= tol:
+            return f_next
         f = f_next
-    return IterCoefficients(samples.n, k, f)
+    return f
+
+
+def iterate_coefficients(
+    samples: UniformSamples, k: int, matrix: BernsteinMatrix | None = None
+) -> IterCoefficients:
+    """Coefficients of order k via the shared recurrence."""
+    def build():
+        return (matrix if matrix is not None else bernstein_matrix(samples.n)).entries
+
+    return IterCoefficients(samples.n, k, _iterate(samples.values, build, k))
 
 
 def limit_coefficients(
@@ -131,6 +144,11 @@ def coefficients(
 def eval_iterated(coeffs: IterCoefficients, t: float) -> float:
     """Evaluate the iterated approximant at t."""
     return float(coeffs.coeffs @ basis_vector(coeffs.n, t))
+
+
+def bernstein_apply(samples: UniformSamples, t: float) -> float:
+    """Classical Bernstein approximant of degree n at t (order k = 1)."""
+    return eval_iterated(IterCoefficients(samples.n, 1, samples.values), t)
 
 
 def iterated_basis(n: int, i: int, k: int, t: float) -> float:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import binomial
+from .core import _node_matrix, binomial
+from .iterated import _iterate
 
 Q_MAX = 1.5
 Q_WARN = 1.3
@@ -99,36 +100,23 @@ def _q_basis_vector(ctx: QContext, t: float) -> np.ndarray:
 
 def q_apply(ctx: QContext, node_values, t: float) -> float:
     """q-Bernstein polynomial from samples at the q-nodes."""
-    node_values = np.asarray(node_values, dtype=float)
-    if node_values.shape != (ctx.n + 1,):
-        raise ValueError(
-            f"expected {ctx.n + 1} node values, got shape {node_values.shape}"
-        )
-    return float(node_values @ _q_basis_vector(ctx, t))
+    return q_iterated(ctx, node_values, 1, t)
 
 
 def q_coefficients(ctx: QContext, node_values, k: int) -> np.ndarray:
     """Order-k coefficient vector for the iterated q-Bernstein polynomial.
 
-    Same recurrence as the classical module, with the operator matrix built
-    from the q-basis evaluated at the q-nodes.
+    The classical recurrence, on the operator matrix built from the q-basis
+    evaluated at the q-nodes.
     """
-    if k < 1:
-        raise ValueError(f"iteration order must be >= 1, got k={k}")
     node_values = np.asarray(node_values, dtype=float)
     if node_values.shape != (ctx.n + 1,):
         raise ValueError(
             f"expected {ctx.n + 1} node values, got shape {node_values.shape}"
         )
-    if k == 1:
-        return node_values.copy()
-    op = np.empty((ctx.n + 1, ctx.n + 1))
-    for j, node in enumerate(ctx.nodes):
-        op[:, j] = _q_basis_vector(ctx, node)
-    f = node_values.copy()
-    for _ in range(k - 1):
-        f = f - f @ op + node_values
-    return f
+    return _iterate(
+        node_values, lambda: _node_matrix(lambda t: _q_basis_vector(ctx, t), ctx.nodes), k
+    )
 
 
 def q_eval(ctx: QContext, coeffs, t: float) -> float:

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _node_matrix
+from .iterated import _iterate
+
 # Iterating on more nodes than this is a sign the context is misconfigured.
 HARD_NODE_CAP = 50_000
 
@@ -119,32 +122,23 @@ def szasz_apply(fn, ctx: SzaszContext, x: float) -> float:
     Truncation error is bounded by ctx.tail_tol times the sup of |fn| over
     the node range, for x <= x_max.
     """
-    if not 0 <= x <= ctx.x_max:
-        raise ValueError(f"x={x} outside [0, {ctx.x_max}]")
-    return float(_node_values(fn, ctx) @ _poisson_vector(ctx.n, x, ctx.M))
+    return szasz_iterated(fn, ctx, 1, x)
 
 
 def szasz_coefficients(fn, ctx: SzaszContext, k: int) -> np.ndarray:
     """Order-k node coefficients via the finite-matrix surrogate.
 
     The operator matrix holds the Poisson weights evaluated at the
-    truncated nodes; the coefficient recurrence is then identical to the
-    Bernstein one. Compute once, then evaluate with szasz_eval on a grid.
+    truncated nodes; the coefficients then come from the Bernstein
+    recurrence. Compute once, then evaluate with szasz_eval on a grid.
     """
-    if k < 1:
-        raise ValueError(f"iteration order must be >= 1, got k={k}")
     if ctx.M > HARD_NODE_CAP:
         raise ValueError(f"M={ctx.M} exceeds the node cap {HARD_NODE_CAP}")
-    f1 = _node_values(fn, ctx)
-    if k == 1:
-        return f1
-    op = np.empty((ctx.M + 1, ctx.M + 1))
-    for j in range(ctx.M + 1):
-        op[:, j] = _poisson_vector(ctx.n, j / ctx.n, ctx.M)
-    f = f1.copy()
-    for _ in range(k - 1):
-        f = f - f @ op + f1
-    return f
+    return _iterate(
+        _node_values(fn, ctx),
+        lambda: _node_matrix(lambda x: _poisson_vector(ctx.n, x, ctx.M), ctx.nodes),
+        k,
+    )
 
 
 def szasz_eval(ctx: SzaszContext, coeffs: np.ndarray, x: float) -> float:

@@ -95,6 +95,15 @@ class TestDerivativeEval:
             got = derivative_eval(s, k, r, t)
             assert abs(got - fd) / max(1.0, abs(fd)) < 1e-5
 
+    def test_high_order_iterates_agree(self):
+        # The iterates converge in k, so their derivatives must agree at
+        # orders where C(k, k/2) is far above 1/eps.
+        f = lambda t: math.sin(2 * math.pi * t)
+        s = UniformSamples.from_function(f, 20)
+        values = [derivative_eval(s, k, 1, 0.37) for k in (30, 60, 100)]
+        assert max(values) - min(values) < 1e-3
+        assert values == pytest.approx([-4.3012] * 3, abs=1e-3)
+
     @pytest.mark.filterwarnings("ignore:.*conditioning cap.*:RuntimeWarning")
     def test_derivative_convergence_in_n(self):
         # max grid error of the first derivative shrinks from n=40 to n=160

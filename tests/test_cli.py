@@ -244,3 +244,87 @@ def test_unknown_function_is_usage_error(tmp_path):
     rc = main(["approx", "--fn", "mystery", "--k", "1", "--grid", "11",
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+
+
+# The exact header and '# key=value' keys of each grid report. Downstream
+# readers parse these by name, so they are a fixed schema. A meta value of
+# None is computed by the run (M, the q-nodes) and only its key is fixed.
+CSV_SCHEMAS = [
+    (
+        ["approx", "--fn", "sin2pi", "--n", "6", "--k", "1,inf", "--grid", "3"],
+        ["t", "truth", "approx_k1", "err_k1", "approx_kinf", "err_kinf"],
+        {"operation": "approx", "function": "sin2pi", "n": "6", "k": "1,inf"},
+    ),
+    (
+        ["approx", "--samples", "SAMPLES", "--k", "1,2", "--grid", "3"],
+        ["t", "approx_k1", "approx_k2"],
+        {"operation": "approx", "function": "SAMPLES", "n": "4", "k": "1,2"},
+    ),
+    (
+        ["derivative", "--fn", "sin2pi", "--n", "6", "--k", "1,2", "--r", "1", "--grid", "3"],
+        ["t", "truth", "d1_k1", "err_k1", "d1_k2", "err_k2"],
+        {"operation": "derivative", "function": "sin2pi", "n": "6", "k": "1,2", "r": "1"},
+    ),
+    (
+        ["derivative", "--fn", "sin2pi", "--n", "6", "--k", "1,2", "--r", "2", "--grid", "3"],
+        ["t", "d2_k1", "d2_k2"],
+        {"operation": "derivative", "function": "sin2pi", "n": "6", "k": "1,2", "r": "2"},
+    ),
+    (
+        ["szasz", "--fn", "chi4", "--n", "3", "--k", "1,2", "--xmax", "2", "--grid", "3"],
+        ["x", "truth", "approx_k1", "err_k1", "approx_k2", "err_k2"],
+        {"operation": "szasz", "function": "chi4", "n": "3", "k": "1,2",
+         "x_max": "2.0", "tail_tol": "1e-12", "M": None},
+    ),
+    (
+        ["qbernstein", "--fn", "sin2pi", "--n", "3", "--q", "0.9", "--k", "1,2", "--grid", "3"],
+        ["t", "truth", "approx_k1", "err_k1", "approx_k2", "err_k2"],
+        {"operation": "qbernstein", "function": "sin2pi", "n": "3", "q": "0.9", "k": "1,2",
+         "nodes": None},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,header,meta", CSV_SCHEMAS,
+    ids=["approx-fn", "approx-samples", "derivative-r1", "derivative-r2", "szasz", "qbernstein"],
+)
+def test_csv_schema(argv, header, meta, tmp_path):
+    samples = tmp_path / "s.txt"
+    samples.write_text("4\n0\n0.25\n0.5\n0.75\n1\n")
+    argv = [str(samples) if a == "SAMPLES" else a for a in argv]
+    meta = {key: str(samples) if v == "SAMPLES" else v for key, v in meta.items()}
+    out = tmp_path / "r.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    got_meta, got_header, rows = read_report(out)
+    assert got_header == header
+    assert list(got_meta) == list(meta)
+    assert all(got_meta[key] == v for key, v in meta.items() if v is not None)
+    assert len(rows) == 3 and all(len(row) == len(header) for row in rows)
+
+
+BAD_ARGV = [
+    ["approx", "--fn", "sin2pi", "--n", "0", "--out", "OUT"],
+    ["approx", "--fn", "sin2pi", "--grid", "0", "--out", "OUT"],
+    ["approx", "--samples", "DEGREE0", "--out", "OUT"],
+    ["derivative", "--fn", "sin2pi", "--n", "0", "--out", "OUT"],
+    ["derivative", "--fn", "sin2pi", "--r", "-1", "--out", "OUT"],
+    ["integrate", "--fn", "expx", "--n", "0"],
+    ["szasz", "--fn", "chi4", "--n", "0", "--out", "OUT"],
+    ["szasz", "--fn", "chi4", "--xmax", "-1", "--out", "OUT"],
+    ["szasz", "--fn", "chi4", "--tail-tol", "1", "--out", "OUT"],
+    ["qbernstein", "--fn", "sin2pi", "--n", "0", "--out", "OUT"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
+def test_bad_value_is_usage_error(argv, tmp_path, capsys, recwarn):
+    out = tmp_path / "x.csv"
+    samples = tmp_path / "s.txt"
+    samples.write_text("0\n1.0\n")
+    rc = main([{"OUT": str(out), "DEGREE0": str(samples)}.get(a, a) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not recwarn.list
+    assert not out.exists()

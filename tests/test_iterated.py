@@ -63,6 +63,14 @@ class TestIterateCoefficients:
         with pytest.raises(ValueError, match="cap"):
             iterate_coefficients(T2_N2, 10**6 + 1)
 
+    def test_order_commutes_with_scaling(self):
+        # The early stop is relative to the samples' scale, so tiny samples
+        # run as many steps as their rescaled copy.
+        v = np.abs(np.arange(11) / 10 - 0.5)
+        big = iterate_coefficients(UniformSamples(10, v), 100).coeffs
+        small = iterate_coefficients(UniformSamples(10, 1e-16 * v), 100).coeffs
+        np.testing.assert_allclose(small / 1e-16, big, rtol=1e-12)
+
     def test_recurrence_matches_closed_form(self):
         rng = np.random.default_rng(42)
         for n in (2, 5, 10):
