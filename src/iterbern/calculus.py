@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import UniformSamples, basis_vector
+from .core import UniformSamples, _sample_nodes, basis_vector
 from .iterated import IterCoefficients, coefficients
 
 
@@ -28,11 +28,12 @@ def forward_difference(values, r: int, i: int) -> float:
     return float(np.diff(values[i : i + r + 1], r)[0])
 
 
-def derivative_eval(samples: UniformSamples, k, r: int, t: float) -> float:
+def derivative_eval(samples: UniformSamples, k, r: int, t):
     """r-th derivative of the order-k iterated approximant at t.
 
-    k may be INFINITY. r = 0 is plain evaluation, so grid sweeps can treat
-    the value and its derivatives uniformly.
+    t is a point or a 1-d array; k may be INFINITY. r = 0 is plain
+    evaluation, so grid sweeps can treat the value and its derivatives
+    uniformly.
     """
     n = samples.n
     if r < 0:
@@ -40,20 +41,18 @@ def derivative_eval(samples: UniformSamples, k, r: int, t: float) -> float:
     if r > n:
         raise ValueError(f"derivative order r={r} exceeds degree n={n}")
     c = coefficients(samples, k).coeffs
-    return math.perm(n, r) * float(np.diff(c, r) @ basis_vector(n - r, t))
+    return math.perm(n, r) * (np.diff(c, r) @ basis_vector(n - r, t))
 
 
-def basis_integral_vector(n: int, x: float) -> np.ndarray:
+def basis_integral_vector(n: int, x) -> np.ndarray:
     """All cumulative basis integrals S_ni(x), i = 0..n.
 
     Uses the degree-elevation identity: S_ni(x) is 1/(n+1) times the tail
-    sum of the degree-(n+1) basis at x.
+    sum of the degree-(n+1) basis at x, which may be an array.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
     elevated = basis_vector(n + 1, x)
     # tail[i] = sum of elevated[i+1:]; tail sums keep endpoint values exact.
-    tail = np.cumsum(elevated[::-1])[::-1]
+    tail = np.cumsum(elevated[::-1], axis=0)[::-1]
     return tail[1:] / (n + 1)
 
 
@@ -64,9 +63,9 @@ def basis_integral(n: int, i: int, x: float) -> float:
     return float(basis_integral_vector(n, x)[i])
 
 
-def integral_eval(coeffs: IterCoefficients, x: float) -> float:
-    """Integral of the iterated approximant from 0 to x."""
-    return float(coeffs.coeffs @ basis_integral_vector(coeffs.n, x))
+def integral_eval(coeffs: IterCoefficients, x):
+    """Integral of the iterated approximant from 0 to x, a point or a 1-d array."""
+    return coeffs.coeffs @ basis_integral_vector(coeffs.n, x)
 
 
 def quadrature(g, a: float, b: float, n: int, k, force: bool = False) -> float:
@@ -79,15 +78,6 @@ def quadrature(g, a: float, b: float, n: int, k, force: bool = False) -> float:
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     width = b - a
-    values = np.empty(n + 1)
-    for i in range(n + 1):
-        node = a + width * (i / n)
-        try:
-            v = width * float(g(node))
-        except ArithmeticError:
-            raise ValueError(f"integrand is not finite at node x={node}")
-        if not math.isfinite(v):
-            raise ValueError(f"integrand is not finite at node x={node}")
-        values[i] = v
+    values = width * _sample_nodes(g, a + width * (np.arange(n + 1) / n))
     coeffs = coefficients(UniformSamples(n, values), k, force=force)
     return float(np.sum(coeffs.coeffs)) / (n + 1)

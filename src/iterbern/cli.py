@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .calculus import derivative_eval, quadrature
-from .core import ConditioningError, UniformSamples, bernstein_matrix
+from .core import ConditioningError, UniformSamples, _sample_nodes, bernstein_matrix
 from .iterated import INFINITY, coefficients, eval_iterated
 from .functions import registry_lookup, registry_names
 from .qbern import QContext, q_coefficients, q_eval
@@ -50,6 +50,10 @@ TABLE_GOLDEN = {
 }
 TABLE_TOLERANCE = 5e-7
 TABLE_K = (1, 5, INFINITY)
+
+# Grid points per evaluation call. A call holds a (basis size) x block array,
+# and the Szasz basis has M + 1 rows (359 at the defaults).
+GRID_BLOCK = 1024
 
 
 class UsageError(Exception):
@@ -121,8 +125,8 @@ def write_grid_report(args, meta: dict, axis: str, grid, truth, prefix: str, col
     value and its error against truth.
 
     meta holds the '# key=value' lines that follow operation and function.
-    columns holds (k, evaluate) pairs; the value column of order k is named
-    <prefix>_k<k> and its error column err_k<k>.
+    columns holds (k, evaluate) pairs, evaluate taking an array of points;
+    the value column of order k is <prefix>_k<k>, its error column err_k<k>.
     """
     source = args.fn or getattr(args, "samples", None)
     meta = {"operation": args.command, "function": source, **meta}
@@ -130,17 +134,16 @@ def write_grid_report(args, meta: dict, axis: str, grid, truth, prefix: str, col
     header = [axis] + (["truth"] if has_truth else [])
     for k, _ in columns:
         header += [f"{prefix}_k{k_label(k)}"] + ([f"err_k{k_label(k)}"] if has_truth else [])
-    rows = []
-    for x in grid:
-        row = [float(x)]
-        if has_truth:
-            exact = float(truth(x))
-            row.append(exact)
-        for _, evaluate in columns:
-            v = evaluate(float(x))
-            row += [v, v - exact] if has_truth else [v]
-        rows.append(row)
-    write_csv(args.out, meta, header, rows)
+    table = [grid]
+    if has_truth:
+        exact = np.array([float(truth(x)) for x in grid])
+        table.append(exact)
+    for _, evaluate in columns:
+        v = np.concatenate(
+            [evaluate(grid[i : i + GRID_BLOCK]) for i in range(0, len(grid), GRID_BLOCK)]
+        )
+        table += [v, v - exact] if has_truth else [v]
+    write_csv(args.out, meta, header, np.column_stack(table).tolist())
     return 0
 
 
@@ -267,7 +270,7 @@ def cmd_qbernstein(args) -> int:
         ctx = QContext(args.q, args.n)
     except ValueError as exc:
         raise UsageError(str(exc))
-    node_values = np.array([float(fn(x)) for x in ctx.nodes])
+    node_values = _sample_nodes(fn, ctx.nodes)
     columns = [(k, partial(q_eval, ctx, q_coefficients(ctx, node_values, k))) for k in k_list]
     meta = {
         "n": args.n,

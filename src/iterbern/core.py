@@ -2,7 +2,8 @@
 
 The operator acts on the n+1 samples f(i/n); everything downstream
 (iteration, derivatives, integrals) is built on the basis vector and the
-node-evaluation matrix produced here.
+node-evaluation matrix produced here. The basis takes arrays of points: the
+node matrix is the basis at the nodes, and a grid is one call too.
 """
 
 from __future__ import annotations
@@ -35,17 +36,39 @@ def binomial(n: int, i: int) -> float:
     return float(math.comb(n, i))
 
 
-def basis_vector(n: int, t: float) -> np.ndarray:
+def _checked_points(name: str, x, upper) -> np.ndarray:
+    """x as a float array, after checking that every point lies in [0, upper]."""
+    x = np.asarray(x, dtype=float)
+    inside = (0.0 <= x) & (x <= upper)
+    if not inside.all():
+        raise ValueError(f"{name}={x[~inside][0]} outside [0, {upper}]")
+    return x
+
+
+def _sample_nodes(fn, nodes: np.ndarray) -> np.ndarray:
+    """fn at each node; a non-finite value or an ArithmeticError raises ValueError."""
+    values = np.empty(len(nodes))
+    for j, x in enumerate(nodes.tolist()):
+        try:
+            values[j] = fn(x)
+        except ArithmeticError:
+            values[j] = math.nan
+        if not math.isfinite(values[j]):
+            raise ValueError(f"function is not finite at node x={x}")
+    return values
+
+
+def basis_vector(n: int, t) -> np.ndarray:
     """All n+1 Bernstein basis values at t via the triangular recurrence.
 
-    Stable near the endpoints; at t = 0 and t = 1 the result is an exact
-    unit vector (0**0 counts as 1).
+    t may be an array; the result then has shape (n+1,) + shape(t). Stable
+    near the endpoints; at t = 0 and t = 1 the result is an exact unit
+    vector (0**0 counts as 1).
     """
-    if n < 1:
-        raise ValueError(f"degree must be positive, got n={n}")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t={t} outside [0, 1]")
-    b = np.zeros(n + 1)
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got n={n}")
+    t = _checked_points("t", t, 1)
+    b = np.zeros((n + 1,) + t.shape)
     b[0] = 1.0
     s = 1.0 - t
     for m in range(1, n + 1):
@@ -82,8 +105,9 @@ class UniformSamples:
 
     @classmethod
     def from_function(cls, fn, n: int) -> "UniformSamples":
-        nodes = np.arange(n + 1) / n
-        return cls(n, np.array([float(fn(t)) for t in nodes]))
+        if n < 1:
+            raise ValueError(f"degree must be positive, got n={n}")
+        return cls(n, _sample_nodes(fn, np.arange(n + 1) / n))
 
     @property
     def nodes(self) -> np.ndarray:
@@ -121,16 +145,4 @@ def bernstein_matrix(n: int) -> BernsteinMatrix:
             RuntimeWarning,
             stacklevel=2,
         )
-    return BernsteinMatrix(n, _node_matrix(lambda t: basis_vector(n, t), np.arange(n + 1) / n))
-
-
-def _node_matrix(basis, nodes) -> np.ndarray:
-    """Node-evaluation matrix of an operator family: column j is basis(nodes[j]).
-
-    Shared by the classical, Szasz-Mirakyan and q-Bernstein operators, whose
-    order-k coefficients all come from the same recurrence on this matrix.
-    """
-    entries = np.empty((len(nodes), len(nodes)))
-    for j, node in enumerate(nodes):
-        entries[:, j] = basis(node)
-    return entries
+    return BernsteinMatrix(n, basis_vector(n, np.arange(n + 1) / n))

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     LIMIT_DEGREE_CAP,
@@ -123,8 +122,7 @@ def limit_coefficients(
                 f"node-evaluation system is numerically singular (cond ~ {cond:.3e})",
                 condition_estimate=float(cond),
             )
-        lu, piv = scipy.linalg.lu_factor(a)
-        x[1:n] = scipy.linalg.lu_solve((lu, piv), rhs)
+        x[1:n] = np.linalg.solve(a, rhs)
     residual = float(np.max(np.abs(x @ b - f1)))
     return IterCoefficients(n, INFINITY, x, residual=residual)
 
@@ -141,9 +139,9 @@ def coefficients(
     return iterate_coefficients(samples, int(k), matrix=matrix)
 
 
-def eval_iterated(coeffs: IterCoefficients, t: float) -> float:
-    """Evaluate the iterated approximant at t."""
-    return float(coeffs.coeffs @ basis_vector(coeffs.n, t))
+def eval_iterated(coeffs: IterCoefficients, t):
+    """Evaluate the iterated approximant at t, a point or a 1-d array."""
+    return coeffs.coeffs @ basis_vector(coeffs.n, t)
 
 
 def bernstein_apply(samples: UniformSamples, t: float) -> float:

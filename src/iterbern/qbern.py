@@ -5,17 +5,17 @@ For q > 1 the nodes are pulled toward 0 and approximation quality near
 t = 1 degrades quickly, so the supported range is capped. q < 1 evaluates
 fine but the resulting polynomials do not converge to the sampled
 function; that is a property of the operator, not an evaluation fault.
+The basis takes arrays of points: the operator is the basis at the q-nodes.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _node_matrix, binomial
+from .core import _checked_points, binomial
 from .iterated import _iterate
 
 Q_MAX = 1.5
@@ -63,9 +63,7 @@ class QContext:
     nodes: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.q <= 0:
-            raise ValueError(f"q must be positive, got q={self.q}")
-        if self.q > Q_MAX:
+        if not 0 < self.q <= Q_MAX:  # also rejects NaN
             raise ValueError(f"q={self.q} outside the supported range (0, {Q_MAX}]")
         if self.q > Q_WARN:
             warnings.warn(
@@ -86,16 +84,23 @@ def q_basis(ctx: QContext, i: int, t: float) -> float:
     """q-Bernstein basis Q_{ni}(t) in product form."""
     if not 0 <= i <= ctx.n:
         raise ValueError(f"basis index i={i} outside 0..{ctx.n}")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t={t} outside [0, 1]")
-    out = q_binomial(ctx.n, i, ctx.q) * t**i
-    for j in range(1, ctx.n - i + 1):
-        out *= 1.0 - t * ctx.q ** (j - 1)
+    return float(_q_basis_vector(ctx, t)[i])
+
+
+def _q_basis_vector(ctx: QContext, t) -> np.ndarray:
+    """All n+1 q-Bernstein basis values at t, shape (n+1,) + shape(t).
+
+    Q_{ni}(t) = [n, i]_q t^i prod_{s < n-i} (1 - q^s t): factor s multiplies
+    the rows i < n - s.
+    """
+    n, q = ctx.n, ctx.q
+    t = _checked_points("t", t, 1)
+    column = (n + 1,) + (1,) * t.ndim
+    i = np.arange(n + 1).reshape(column)
+    out = np.array([q_binomial(n, r, q) for r in range(n + 1)]).reshape(column) * t**i
+    for s in range(n):
+        out[: n - s] *= 1.0 - t * q**s
     return out
-
-
-def _q_basis_vector(ctx: QContext, t: float) -> np.ndarray:
-    return np.array([q_basis(ctx, i, t) for i in range(ctx.n + 1)])
 
 
 def q_apply(ctx: QContext, node_values, t: float) -> float:
@@ -114,16 +119,14 @@ def q_coefficients(ctx: QContext, node_values, k: int) -> np.ndarray:
         raise ValueError(
             f"expected {ctx.n + 1} node values, got shape {node_values.shape}"
         )
-    return _iterate(
-        node_values, lambda: _node_matrix(lambda t: _q_basis_vector(ctx, t), ctx.nodes), k
-    )
+    return _iterate(node_values, lambda: _q_basis_vector(ctx, ctx.nodes), k)
 
 
-def q_eval(ctx: QContext, coeffs, t: float) -> float:
-    """Evaluate a q-basis coefficient vector at t."""
-    return float(np.asarray(coeffs) @ _q_basis_vector(ctx, t))
+def q_eval(ctx: QContext, coeffs, t):
+    """Evaluate a q-basis coefficient vector at t, a point or a 1-d array."""
+    return np.asarray(coeffs) @ _q_basis_vector(ctx, t)
 
 
 def q_iterated(ctx: QContext, node_values, k: int, t: float) -> float:
-    """Order-k iterated q-Bernstein polynomial at a single point."""
+    """Order-k iterated q-Bernstein polynomial at t."""
     return q_eval(ctx, q_coefficients(ctx, node_values, k), t)

@@ -3,7 +3,8 @@
 The operator's Poisson sums are infinite; everything here works on the
 index set 0..M where M is chosen so the Poisson tail mass beyond it is
 below a configured tolerance. The truncation defect is measurable via
-partition_defect, never silently renormalized away.
+partition_defect, never silently renormalized away. The weights take arrays
+of points: the operator is the weights at the nodes, and a grid is one call.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _node_matrix
+from .core import _checked_points, _sample_nodes
 from .iterated import _iterate
 
 # Iterating on more nodes than this is a sign the context is misconfigured.
@@ -21,33 +22,28 @@ HARD_NODE_CAP = 50_000
 
 
 def poisson_basis(n: int, i: int, x: float) -> float:
-    """Poisson weight e^{-nx} (nx)^i / i!.
-
-    Direct products for small i, log space beyond to avoid overflow of
-    (nx)^i and i!.
-    """
+    """Poisson weight e^{-nx} (nx)^i / i!, computed in log space."""
     if x < 0:
         raise ValueError(f"x={x} outside [0, inf)")
     if i < 0:
         raise ValueError(f"index must be nonnegative, got i={i}")
-    if x == 0.0:
-        return 1.0 if i == 0 else 0.0
-    mean = n * x
-    if i <= 20:
-        return math.exp(-mean) * mean**i / math.factorial(i)
-    return math.exp(-mean + i * math.log(mean) - math.lgamma(i + 1))
+    return float(_poisson_vector(n, x, i)[i])
 
 
-def _poisson_vector(n: int, x: float, m: int) -> np.ndarray:
-    """Poisson weights for indices 0..m at a single point."""
-    if x == 0.0:
-        out = np.zeros(m + 1)
-        out[0] = 1.0
-        return out
-    mean = n * x
-    i = np.arange(m + 1)
-    log_pmf = -mean + i * np.log(mean) - np.array([math.lgamma(v + 1) for v in i])
-    return np.exp(log_pmf)
+def _poisson_vector(n: int, x, m: int) -> np.ndarray:
+    """Poisson weights for indices 0..m at x, shape (m+1,) + shape(x).
+
+    Built in place as exp(i log(nx) - nx - lgamma(i+1)): (nx)^i and i! never
+    overflow, and no temporary of the result's size is made.
+    """
+    mean = n * np.asarray(x, dtype=float)
+    i = np.arange(m + 1).reshape((m + 1,) + (1,) * mean.ndim)
+    out = np.zeros((m + 1,) + mean.shape)
+    with np.errstate(divide="ignore"):
+        np.multiply(i, np.log(mean), out=out, where=i > 0)
+    out -= mean
+    out -= np.array([math.lgamma(v + 1) for v in range(m + 1)]).reshape(i.shape)
+    return np.exp(out, out=out)
 
 
 def _truncation_index(mean: float, tail_tol: float) -> int:
@@ -80,8 +76,8 @@ class SzaszContext:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"rate scale must be positive, got n={self.n}")
-        if self.x_max <= 0:
-            raise ValueError(f"x_max must be positive, got {self.x_max}")
+        if not 0 < self.x_max < math.inf:  # also rejects NaN
+            raise ValueError(f"x_max must be positive and finite, got {self.x_max}")
         if not 0 < self.tail_tol <= 1e-6:
             raise ValueError(f"tail_tol must be in (0, 1e-6], got {self.tail_tol}")
         if self.M == 0:
@@ -106,16 +102,6 @@ class SzaszContext:
         return 1.0 - float(np.sum(_poisson_vector(self.n, x, self.M)))
 
 
-def _node_values(fn, ctx: SzaszContext) -> np.ndarray:
-    values = np.empty(ctx.M + 1)
-    for i in range(ctx.M + 1):
-        v = float(fn(i / ctx.n))
-        if not math.isfinite(v):
-            raise ValueError(f"function is not finite at node x={i / ctx.n}")
-        values[i] = v
-    return values
-
-
 def szasz_apply(fn, ctx: SzaszContext, x: float) -> float:
     """Truncated Szasz-Mirakyan approximant at x.
 
@@ -135,19 +121,16 @@ def szasz_coefficients(fn, ctx: SzaszContext, k: int) -> np.ndarray:
     if ctx.M > HARD_NODE_CAP:
         raise ValueError(f"M={ctx.M} exceeds the node cap {HARD_NODE_CAP}")
     return _iterate(
-        _node_values(fn, ctx),
-        lambda: _node_matrix(lambda x: _poisson_vector(ctx.n, x, ctx.M), ctx.nodes),
-        k,
+        _sample_nodes(fn, ctx.nodes), lambda: _poisson_vector(ctx.n, ctx.nodes, ctx.M), k
     )
 
 
-def szasz_eval(ctx: SzaszContext, coeffs: np.ndarray, x: float) -> float:
-    """Evaluate a coefficient vector against the truncated Poisson weights."""
-    if not 0 <= x <= ctx.x_max:
-        raise ValueError(f"x={x} outside [0, {ctx.x_max}]")
-    return float(np.asarray(coeffs) @ _poisson_vector(ctx.n, x, ctx.M))
+def szasz_eval(ctx: SzaszContext, coeffs: np.ndarray, x):
+    """Evaluate a coefficient vector at x, a point or a 1-d array in [0, x_max]."""
+    x = _checked_points("x", x, ctx.x_max)
+    return np.asarray(coeffs) @ _poisson_vector(ctx.n, x, ctx.M)
 
 
 def szasz_iterated(fn, ctx: SzaszContext, k: int, x: float) -> float:
-    """Order-k iterated Szasz-Mirakyan approximant at a single point."""
+    """Order-k iterated Szasz-Mirakyan approximant at x."""
     return szasz_eval(ctx, szasz_coefficients(fn, ctx, k), x)

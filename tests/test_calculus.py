@@ -11,6 +11,8 @@ from iterbern import (
     UniformSamples,
     basis_eval,
     basis_integral,
+    basis_integral_vector,
+    coefficients,
     derivative_eval,
     eval_iterated,
     forward_difference,
@@ -71,6 +73,20 @@ class TestDerivativeEval:
         assert derivative_eval(s, 3, 0, 0.62) == pytest.approx(
             eval_iterated(c, 0.62), abs=1e-14
         )
+
+    def test_r_equal_to_degree(self):
+        # t^2 sampled at n = 2: the second derivative of B_2 f is 1.
+        s = UniformSamples(2, np.array([0.0, 0.25, 1.0]))
+        for t in (0.0, 0.3, 1.0):
+            assert derivative_eval(s, 1, 2, t) == 1.0
+
+    @pytest.mark.parametrize("k,r", [(1, 1), (3, 2), (INFINITY, 1)])
+    def test_array_matches_pointwise(self, k, r):
+        s = UniformSamples.from_function(lambda t: math.sin(2 * math.pi * t), 12)
+        t = np.linspace(0, 1, 41)
+        want = [derivative_eval(s, k, r, x) for x in t]
+        got = derivative_eval(s, k, r, t)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
 
     def test_r_above_degree(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -142,6 +158,11 @@ class TestBasisIntegral:
         with pytest.raises(ValueError, match="outside"):
             basis_integral(3, 0, 1.2)
 
+    def test_array_matches_pointwise(self):
+        x = np.linspace(0, 1, 23)
+        stacked = np.column_stack([basis_integral_vector(9, v) for v in x])
+        assert np.array_equal(basis_integral_vector(9, x), stacked)
+
 
 class TestIntegralEval:
     def test_full_range_is_coefficient_mean(self):
@@ -172,6 +193,14 @@ class TestIntegralEval:
         for x in np.linspace(0.1, 0.9, 9):
             deriv = (integral_eval(c, x + h) - integral_eval(c, x - h)) / (2 * h)
             assert deriv == pytest.approx(eval_iterated(c, x), abs=1e-6)
+
+    @pytest.mark.parametrize("k", [1, 4, INFINITY])
+    def test_array_matches_pointwise(self, k):
+        c = coefficients(UniformSamples.from_function(math.exp, 15), k)
+        x = np.linspace(0, 1, 57)
+        want = [integral_eval(c, v) for v in x]
+        got = integral_eval(c, x)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
 
 
 class TestQuadrature:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from iterbern import cli
 from iterbern.cli import main, parse_k_list
 from iterbern.iterated import INFINITY
 
@@ -314,6 +315,9 @@ BAD_ARGV = [
     ["szasz", "--fn", "chi4", "--xmax", "-1", "--out", "OUT"],
     ["szasz", "--fn", "chi4", "--tail-tol", "1", "--out", "OUT"],
     ["qbernstein", "--fn", "sin2pi", "--n", "0", "--out", "OUT"],
+    ["qbernstein", "--fn", "sin2pi", "--q", "nan", "--out", "OUT"],
+    ["szasz", "--fn", "chi4", "--xmax", "inf", "--out", "OUT"],
+    ["szasz", "--fn", "chi4", "--xmax", "nan", "--out", "OUT"],
 ]
 
 
@@ -328,3 +332,32 @@ def test_bad_value_is_usage_error(argv, tmp_path, capsys, recwarn):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not recwarn.list
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx", "--fn", "abshalf", "--n", "12", "--k", "1,3,inf"],
+    ["derivative", "--fn", "sin2pi", "--n", "9", "--k", "1,2", "--r", "2"],
+    ["szasz", "--fn", "gauss", "--n", "3", "--k", "1,2", "--xmax", "2"],
+    ["qbernstein", "--fn", "sin2pi", "--n", "8", "--q", "0.9", "--k", "1,2"],
+], ids=lambda argv: argv[0])
+def test_blocked_report_matches_pointwise(argv, tmp_path, monkeypatch):
+    # More points than one block, with a partial last block.
+    points = 2 * cli.GRID_BLOCK + 3
+    argv = argv + ["--grid", str(points)]
+    assert main(argv + ["--out", str(tmp_path / "blocked.csv")]) == 0
+    monkeypatch.setattr(cli, "GRID_BLOCK", 1)
+    assert main(argv + ["--out", str(tmp_path / "pointwise.csv")]) == 0
+    meta, header, rows = read_report(tmp_path / "blocked.csv")
+    assert (meta, header) == read_report(tmp_path / "pointwise.csv")[:2]
+    got = np.array(rows, dtype=float)
+    want = np.array(read_report(tmp_path / "pointwise.csv")[2], dtype=float)
+    assert got.shape == (points, len(header))
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_derivative_of_order_n(tmp_path):
+    out = tmp_path / "d.csv"
+    assert main(["derivative", "--fn", "sin2pi", "--n", "2", "--r", "2", "--k", "1",
+                 "--grid", "5", "--out", str(out)]) == 0
+    _, header, rows = read_report(out)
+    assert header == ["t", "d2_k1"] and len({r[1] for r in rows}) == 1

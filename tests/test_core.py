@@ -116,6 +116,16 @@ class TestBasisVector:
         w = basis_vector(n, 1.0 - t)
         assert np.max(np.abs(v - w[::-1])) < 1e-14
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 30])
+    def test_array_matches_pointwise(self, n):
+        t = np.concatenate([np.linspace(0, 1, 37), np.random.default_rng(1).random(20)])
+        stacked = np.column_stack([basis_vector(n, x) for x in t])
+        assert np.array_equal(basis_vector(n, t), stacked)
+
+    def test_array_domain_error_names_point(self):
+        with pytest.raises(ValueError, match="t=1.5 outside"):
+            basis_vector(3, np.array([0.0, 1.5, 0.2]))
+
 
 class TestUniformSamples:
     def test_length_checked(self):
@@ -129,6 +139,14 @@ class TestUniformSamples:
     def test_from_function(self):
         s = UniformSamples.from_function(lambda t: t * t, 4)
         assert s.values == pytest.approx([0, 1 / 16, 1 / 4, 9 / 16, 1])
+
+    def test_from_function_rejects_degree_zero(self):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            UniformSamples.from_function(math.exp, 0)
+
+    def test_from_function_names_nonfinite_node(self):
+        with pytest.raises(ValueError, match="not finite at node x=0.0"):
+            UniformSamples.from_function(lambda t: 1.0 / t, 4)
 
 
 class TestBernsteinApply:
@@ -176,6 +194,11 @@ class TestBernsteinMatrix:
         assert eig[0] > 0.0
         assert eig[-1] <= 1.0 + 1e-10
         assert np.sum(np.abs(eig - 1.0) < 1e-8) == 2
+
+    @pytest.mark.parametrize("n", [1, 5, 30])
+    def test_matches_column_by_column(self, n):
+        columns = np.column_stack([basis_vector(n, j / n) for j in range(n + 1)])
+        assert np.array_equal(bernstein_matrix(n).entries, columns)
 
     def test_degenerate_degree(self):
         with pytest.raises(ValueError, match="degenerate|positive"):

@@ -151,6 +151,16 @@ class TestEvalIterated:
         c = iterate_coefficients(T2_N2, 2)
         assert eval_iterated(c, 0.5) == pytest.approx(0.3125)
 
+    @pytest.mark.parametrize("k", [1, 3, INFINITY])
+    def test_array_matches_pointwise(self, k):
+        s = UniformSamples.from_function(lambda t: math.sin(2 * math.pi * t), 20)
+        c = coefficients(s, k)
+        t = np.linspace(0, 1, 101)
+        want = [eval_iterated(c, x) for x in t]
+        got = eval_iterated(c, t)
+        assert got.shape == t.shape
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+
 
 class TestIteratedBasis:
     def test_k1_is_classical_basis(self):

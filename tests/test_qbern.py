@@ -16,9 +16,12 @@ from iterbern import (
     q_apply,
     q_basis,
     q_binomial,
+    q_coefficients,
+    q_eval,
     q_iterated,
     q_number,
 )
+from iterbern.qbern import _q_basis_vector
 
 
 class TestQNumber:
@@ -82,6 +85,8 @@ class TestQContext:
     def test_range_limits(self):
         with pytest.raises(ValueError, match="supported range"):
             QContext(1.6, 5)
+        with pytest.raises(ValueError, match="supported range"):
+            QContext(math.nan, 5)
         with pytest.warns(RuntimeWarning, match="degrades"):
             QContext(1.4, 5)
 
@@ -111,6 +116,22 @@ class TestQBasis:
         ctx = QContext(1.1, 4)
         with pytest.raises(ValueError, match="outside"):
             q_basis(ctx, 0, -0.1)
+
+    def test_product_form_oracle(self):
+        ctx = QContext(1.2, 9)
+        for i in range(10):
+            for t in (0.0, 0.15, 0.5, 0.93, 1.0):
+                ref = q_binomial(9, i, 1.2) * t**i * math.prod(
+                    1.0 - 1.2**s * t for s in range(9 - i)
+                )
+                assert q_basis(ctx, i, t) == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("q", [0.7, 1.0, 1.2])
+    def test_array_matches_pointwise(self, q):
+        ctx = QContext(q, 9)
+        t = np.concatenate([ctx.nodes, np.linspace(0, 1, 31)])
+        stacked = np.column_stack([_q_basis_vector(ctx, x) for x in t])
+        assert np.array_equal(_q_basis_vector(ctx, t), stacked)
 
 
 class TestQApply:
@@ -178,6 +199,15 @@ class TestQIterated:
                     assert q_iterated(ctx, ctx.nodes, k, t) == pytest.approx(
                         t, abs=1e-10
                     )
+
+    @pytest.mark.parametrize("q", [0.8, 1.0, 1.1])
+    def test_eval_array_matches_pointwise(self, q):
+        ctx = QContext(q, 12)
+        c = q_coefficients(ctx, np.sin(2 * np.pi * ctx.nodes), 3)
+        t = np.linspace(0, 1, 51)
+        want = [q_eval(ctx, c, x) for x in t]
+        got = q_eval(ctx, c, t)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
 
     def test_improves_sin_away_from_right_end(self):
         f = lambda t: math.sin(2 * math.pi * t)

@@ -32,7 +32,8 @@ class TestPoissonBasis:
         assert poisson_basis(10, 20, 2.0) == pytest.approx(0.0888353, abs=5e-8)
 
     def test_small_and_large_index_paths_agree(self):
-        # direct product (i <= 20) and log-space branch must join smoothly
+        # indices on both sides of i = 20, where an earlier direct-product
+        # branch handed over to log space
         for i in (19, 20, 21, 22):
             assert poisson_basis(3, i, 4.0) == pytest.approx(
                 poisson_pmf_oracle(12.0, i), rel=1e-12
@@ -42,6 +43,16 @@ class TestPoissonBasis:
         with pytest.raises(ValueError, match="outside"):
             poisson_basis(3, 1, -0.5)
 
+
+    def test_array_matches_pointwise(self):
+        x = np.concatenate([[0.0], np.linspace(0.05, 9.0, 40)])
+        stacked = np.column_stack([_poisson_vector(7, v, 90) for v in x])
+        assert np.array_equal(_poisson_vector(7, x, 90), stacked)
+
+    def test_operator_matches_column_by_column(self):
+        ctx = SzaszContext(10)
+        columns = np.column_stack([_poisson_vector(ctx.n, x, ctx.M) for x in ctx.nodes])
+        assert np.array_equal(_poisson_vector(ctx.n, ctx.nodes, ctx.M), columns)
 
 class TestSzaszContext:
     def test_truncation_invariants(self):
@@ -67,6 +78,11 @@ class TestSzaszContext:
     def test_tail_tol_range(self):
         with pytest.raises(ValueError, match="tail_tol"):
             SzaszContext(10, 8.0, 1e-3)
+
+    @pytest.mark.parametrize("x_max", [math.inf, math.nan])
+    def test_nonfinite_x_max_rejected(self, x_max):
+        with pytest.raises(ValueError, match="x_max must be positive and finite"):
+            SzaszContext(10, x_max)
 
 
 class TestSzaszApply:
@@ -154,6 +170,14 @@ class TestSzaszIterated:
                 assert szasz_iterated(f, ctx, k, x) == pytest.approx(
                     brute(k, x), abs=1e-9
                 )
+
+    def test_eval_array_matches_pointwise(self):
+        ctx = SzaszContext(5, x_max=4.0, tail_tol=1e-10)
+        c = szasz_coefficients(lambda u: math.exp(-u), ctx, 3)
+        x = np.linspace(0, 4.0, 61)
+        want = [szasz_eval(ctx, c, v) for v in x]
+        got = szasz_eval(ctx, c, x)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
 
     def test_node_cap(self):
         ctx = SzaszContext(10, 8.0, 1e-12, M=60_000)
