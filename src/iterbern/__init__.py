@@ -5,7 +5,6 @@ q-Bernstein generalizations."""
 from .core import (
     BernsteinMatrix,
     ConditioningError,
-    LIMIT_DEGREE_CAP,
     UniformSamples,
     basis_eval,
     basis_vector,
@@ -15,6 +14,7 @@ from .core import (
 from .iterated import (
     INFINITY,
     IterCoefficients,
+    LIMIT_DEGREE_CAP,
     bernstein_apply,
     coefficients,
     error_estimate,

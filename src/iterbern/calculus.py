@@ -40,7 +40,12 @@ def derivative_eval(samples: UniformSamples, k, r: int, t):
         raise ValueError(f"derivative order must be nonnegative, got r={r}")
     if r > n:
         raise ValueError(f"derivative order r={r} exceeds degree n={n}")
-    c = coefficients(samples, k).coeffs
+    return _derivative(coefficients(samples, k), r, t)
+
+
+def _derivative(coeffs: IterCoefficients, r: int, t):
+    """r-th derivative, 0 <= r <= n, of the approximant with these coefficients at t."""
+    n, c = coeffs.n, coeffs.coeffs
     return math.perm(n, r) * (np.diff(c, r) @ basis_vector(n - r, t))
 
 

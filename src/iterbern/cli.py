@@ -18,9 +18,9 @@ from functools import partial
 
 import numpy as np
 
-from .calculus import derivative_eval, quadrature
+from .calculus import _derivative, quadrature
 from .core import ConditioningError, UniformSamples, _sample_nodes, bernstein_matrix
-from .iterated import INFINITY, coefficients, eval_iterated
+from .iterated import INFINITY, MAX_ITERATIONS, coefficients, eval_iterated
 from .functions import registry_lookup, registry_names
 from .qbern import QContext, q_coefficients, q_eval
 from .szasz import SzaszContext, szasz_coefficients, szasz_eval
@@ -72,8 +72,8 @@ def parse_k_list(text: str) -> list:
                 k = int(tok)
             except ValueError:
                 raise UsageError(f"bad k value {tok!r} (expected integer or 'inf')")
-            if k < 1:
-                raise UsageError(f"k must be >= 1, got {k}")
+            if not 1 <= k <= MAX_ITERATIONS:
+                raise UsageError(f"k must be in 1..{MAX_ITERATIONS}, got {k}")
             out.append(k)
     if not out:
         raise UsageError("empty k list")
@@ -226,7 +226,11 @@ def cmd_derivative(args) -> int:
     if args.r > n:
         raise UsageError(f"r={args.r} exceeds degree n={n}")
     truth = fn.derivative if (fn is not None and args.r == 1) else None
-    columns = [(k, partial(derivative_eval, samples, k, args.r)) for k in k_list]
+    matrix = bernstein_matrix(n)
+    columns = [
+        (k, partial(_derivative, coefficients(samples, k, matrix=matrix), args.r))
+        for k in k_list
+    ]
     meta = {"n": n, "k": ",".join(map(k_label, k_list)), "r": args.r}
     grid = np.linspace(0.0, 1.0, args.grid)
     return write_grid_report(args, meta, "t", grid, truth, f"d{args.r}", columns)

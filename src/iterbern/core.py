@@ -9,14 +9,9 @@ node matrix is the basis at the nodes, and a grid is one call too.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# Degree above which the node-evaluation matrix is too ill-conditioned for
-# the k -> infinity linear solve in double precision.
-LIMIT_DEGREE_CAP = 30
 
 
 class ConditioningError(ValueError):
@@ -137,12 +132,4 @@ def bernstein_matrix(n: int) -> BernsteinMatrix:
     """Build the node-evaluation matrix for degree n."""
     if n < 1:
         raise ValueError(f"degenerate degree n={n}; need n >= 1")
-    if n > LIMIT_DEGREE_CAP:
-        warnings.warn(
-            f"n={n} exceeds the conditioning cap {LIMIT_DEGREE_CAP}; the "
-            "k=infinity solve is unreliable at this degree (finite-k "
-            "iteration is unaffected)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return BernsteinMatrix(n, basis_vector(n, np.arange(n + 1) / n))

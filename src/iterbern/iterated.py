@@ -3,10 +3,11 @@
 The coefficient row vector of order k satisfies the recurrence
 F(k+1) = F(k)(I - B) + F(1) with F(1) the raw node samples, so that
 F(k) = F(1) (I + (I - B) + ... + (I - B)^(k-1)) (Kelisky & Rivlin). The
-recurrence is the same for every operator family; _iterate runs it on any
-node matrix, and the Szasz-Mirakyan and q-Bernstein modules call it with
-theirs. The limit solves X B = F(1), which makes the limiting approximant
-interpolate the samples at the nodes.
+recurrence is the same for every operator family; _iterate runs exactly
+k - 1 steps of it on any node matrix, and the Szasz-Mirakyan and q-Bernstein
+modules call it with theirs. The limit solves X B = F(1), which makes the
+limiting approximant interpolate the samples at the nodes; it is the only
+path with a degree cap.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    LIMIT_DEGREE_CAP,
     BernsteinMatrix,
     ConditioningError,
     UniformSamples,
@@ -27,9 +27,12 @@ from .core import (
 
 INFINITY = math.inf
 
-# Iterates converge geometrically; past this the updates are pure noise.
+# Order k costs k - 1 vector-matrix products; this bounds the run time.
 MAX_ITERATIONS = 10**6
-CONVERGENCE_TOL = 1e-15
+
+# Degree above which the node-evaluation matrix is too ill-conditioned for
+# the k -> infinity linear solve in double precision.
+LIMIT_DEGREE_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -57,10 +60,9 @@ class IterCoefficients:
 def _iterate(f1: np.ndarray, build_matrix, k: int) -> np.ndarray:
     """Order-k coefficients F(k) from node values f1 and a family's node matrix.
 
+    Runs exactly k - 1 steps of the recurrence, so order k means k.
     build_matrix() is called only when k > 1, so order 1 costs no operator
-    build. Stops early once a step moves no coefficient by more than
-    CONVERGENCE_TOL * max|f1|; the rest would only add rounding noise. The
-    tolerance scales with f1 so that the result commutes with scaling f.
+    build.
     """
     if k < 1:
         raise ValueError(f"iteration order must be >= 1, got k={k}")
@@ -70,12 +72,8 @@ def _iterate(f1: np.ndarray, build_matrix, k: int) -> np.ndarray:
     if k == 1:
         return f
     matrix = build_matrix()
-    tol = CONVERGENCE_TOL * np.max(np.abs(f1))
     for _ in range(k - 1):
-        f_next = f - f @ matrix + f1
-        if np.max(np.abs(f_next - f)) <= tol:
-            return f_next
-        f = f_next
+        f = f - f @ matrix + f1
     return f
 
 

@@ -167,7 +167,6 @@ def test_criterion_08_voronovskaya():
     report(8, f"Voronovskaya at n=200: relative deviation {rel:.4f} < 0.05")
 
 
-@pytest.mark.filterwarnings("ignore:.*conditioning cap.*:RuntimeWarning")
 def test_criterion_09_rate_scaling():
     def max_err(n):
         s = UniformSamples(n, (np.arange(n + 1) / n) ** 4)

@@ -120,7 +120,6 @@ class TestDerivativeEval:
         assert max(values) - min(values) < 1e-3
         assert values == pytest.approx([-4.3012] * 3, abs=1e-3)
 
-    @pytest.mark.filterwarnings("ignore:.*conditioning cap.*:RuntimeWarning")
     def test_derivative_convergence_in_n(self):
         # max grid error of the first derivative shrinks from n=40 to n=160
         f = lambda t: math.sin(2 * math.pi * t)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from iterbern import cli
+from iterbern import cli, iterated
 from iterbern.cli import main, parse_k_list
 from iterbern.iterated import INFINITY
 
@@ -318,6 +318,8 @@ BAD_ARGV = [
     ["qbernstein", "--fn", "sin2pi", "--q", "nan", "--out", "OUT"],
     ["szasz", "--fn", "chi4", "--xmax", "inf", "--out", "OUT"],
     ["szasz", "--fn", "chi4", "--xmax", "nan", "--out", "OUT"],
+    ["approx", "--fn", "sin2pi", "--k", "1000001", "--out", "OUT"],
+    ["integrate", "--fn", "expx", "--k", "1000001"],
 ]
 
 
@@ -353,6 +355,20 @@ def test_blocked_report_matches_pointwise(argv, tmp_path, monkeypatch):
     want = np.array(read_report(tmp_path / "pointwise.csv")[2], dtype=float)
     assert got.shape == (points, len(header))
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_derivative_report_computes_each_order_once(tmp_path, monkeypatch):
+    orders = []
+    iterate = iterated._iterate
+
+    def counted(f1, build_matrix, k):
+        orders.append(k)
+        return iterate(f1, build_matrix, k)
+
+    monkeypatch.setattr(iterated, "_iterate", counted)
+    assert main(["derivative", "--fn", "sin2pi", "--n", "9", "--k", "1,3",
+                 "--grid", str(2 * cli.GRID_BLOCK + 3), "--out", str(tmp_path / "d.csv")]) == 0
+    assert orders == [1, 3]
 
 
 def test_derivative_of_order_n(tmp_path):

@@ -203,7 +203,3 @@ class TestBernsteinMatrix:
     def test_degenerate_degree(self):
         with pytest.raises(ValueError, match="degenerate|positive"):
             bernstein_matrix(0)
-
-    def test_warns_above_cap(self):
-        with pytest.warns(RuntimeWarning, match="conditioning cap"):
-            bernstein_matrix(31)

@@ -64,12 +64,32 @@ class TestIterateCoefficients:
             iterate_coefficients(T2_N2, 10**6 + 1)
 
     def test_order_commutes_with_scaling(self):
-        # The early stop is relative to the samples' scale, so tiny samples
-        # run as many steps as their rescaled copy.
+        # The recurrence is linear in the samples and runs k - 1 steps
+        # whatever their scale, so tiny samples match their rescaled copy.
         v = np.abs(np.arange(11) / 10 - 0.5)
         big = iterate_coefficients(UniformSamples(10, v), 100).coeffs
         small = iterate_coefficients(UniformSamples(10, 1e-16 * v), 100).coeffs
         np.testing.assert_allclose(small / 1e-16, big, rtol=1e-12)
+
+    @pytest.mark.parametrize("n, k", [(5, 1000), (6, 3000)])
+    def test_exact_order_matches_high_precision_recurrence(self, n, k):
+        # Orders far past where the steps stop moving the coefficients in
+        # double precision: order k is still k - 1 full steps, within 1e-14
+        # of the same recurrence run at 40 digits.
+        mpmath = pytest.importorskip("mpmath")
+        samples = np.sin(3 * np.arange(n + 1) / n) + 0.3
+        with mpmath.workdps(40):
+            nodes = [mpmath.mpf(j) / n for j in range(n + 1)]
+            b = [[mpmath.binomial(n, i) * x**i * (1 - x) ** (n - i) for x in nodes]
+                 for i in range(n + 1)]
+            f1 = [mpmath.mpf(v) for v in samples]
+            f = list(f1)
+            for _ in range(k - 1):
+                fb = [mpmath.fsum(f[i] * b[i][j] for i in range(n + 1)) for j in range(n + 1)]
+                f = [f[j] - fb[j] + f1[j] for j in range(n + 1)]
+            ref = np.array([float(v) for v in f])
+        got = iterate_coefficients(UniformSamples(n, samples), k).coeffs
+        assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-14
 
     def test_recurrence_matches_closed_form(self):
         rng = np.random.default_rng(42)
@@ -124,11 +144,10 @@ class TestLimitCoefficients:
     def test_cap_enforced_and_forceable(self):
         n = 31
         rng = np.random.default_rng(0)
-        with pytest.warns(RuntimeWarning):
-            s = UniformSamples(n, rng.normal(size=n + 1))
-            with pytest.raises(ConditioningError, match="cap"):
-                limit_coefficients(s)
-            c = limit_coefficients(s, force=True)
+        s = UniformSamples(n, rng.normal(size=n + 1))
+        with pytest.raises(ConditioningError, match="cap"):
+            limit_coefficients(s)
+        c = limit_coefficients(s, force=True)
         assert np.all(np.isfinite(c.coeffs))
 
 
