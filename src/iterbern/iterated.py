@@ -159,9 +159,8 @@ def iterated_basis(n: int, i: int, k: int, t: float) -> float:
 def error_estimate(
     samples: UniformSamples, k: int, t: float, matrix: BernsteinMatrix | None = None
 ) -> float:
-    """Computable error surrogate: order-k value minus order-(k+1) value."""
+    """Order-k minus order-(k+1) value at t, as F(k) - F(k+1) = F(k) B - F(1)."""
     if matrix is None:
         matrix = bernstein_matrix(samples.n)
-    fk = iterate_coefficients(samples, k, matrix=matrix)
-    fk1 = iterate_coefficients(samples, k + 1, matrix=matrix)
-    return eval_iterated(fk, t) - eval_iterated(fk1, t)
+    fk = iterate_coefficients(samples, k, matrix=matrix).coeffs
+    return (fk @ matrix.entries - samples.values) @ basis_vector(samples.n, t)

@@ -1,6 +1,9 @@
 """q-analogs: q-numbers, Gaussian binomials, the q-Bernstein basis on its
 nonuniform nodes, and the iterated q-Bernstein polynomials.
 
+The nodes and the Gaussian row come from one vector of q-integers, each
+expm1(x L) / expm1(L) with L = log1p(q - 1), which does not cancel as q -> 1.
+
 For q > 1 the nodes are pulled toward 0 and approximation quality near
 t = 1 degrades quickly, so the supported range is capped. q < 1 evaluates
 fine but the resulting polynomials do not converge to the sampled
@@ -10,48 +13,46 @@ The basis takes arrays of points: the operator is the basis at the q-nodes.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _checked_points, binomial
+from .core import _checked_points
 from .iterated import _iterate
 
 Q_MAX = 1.5
 Q_WARN = 1.3
-_Q_ONE_BAND = 1e-12
 
 
-def q_number(x: float, q: float) -> float:
-    """The q-number [x]_q = (1 - q^x) / (1 - q), with [x]_1 = x."""
+@np.errstate(over="raise")
+def q_number(x, q: float):
+    """The q-number [x]_q = (1 - q^x) / (1 - q), with [x]_1 = x; x may be an array."""
     if q <= 0:
         raise ValueError(f"q must be positive, got q={q}")
-    if abs(q - 1.0) < _Q_ONE_BAND:
-        return float(x)
-    return (1.0 - q**x) / (1.0 - q)
+    if q == 1.0:  # the limit, where the quotient below is 0/0
+        return np.array(x, dtype=float)[()]
+    log_q = math.log1p(q - 1.0)
+    return (np.expm1(np.multiply(x, log_q)) / math.expm1(log_q))[()]
+
+
+@np.errstate(over="raise")  # a row past the float range raises, never yields NaN bases
+def _gaussian_row(n: int, q: float) -> np.ndarray:
+    """[n, r]_q for r = 0..n: the running product of [n - r + 1]_q / [r]_q."""
+    qint = q_number(np.arange(n + 1), q)
+    return np.concatenate(([1.0], np.cumprod(qint[:0:-1] / qint[1:])))
 
 
 def q_binomial(n: int, r: int, q: float) -> float:
-    """Gaussian binomial coefficient; 0 outside 0 <= r <= n.
-
-    Computed as the product of q-number ratios (1-q^{n-i})/(1-q^{r-i}),
-    which stays stable where the raw quotient-of-products overflows.
-    """
+    """Gaussian binomial coefficient [n, r]_q, read off the Gaussian row; 0 outside 0..n."""
     if q <= 0:
         raise ValueError(f"q must be positive, got q={q}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got n={n}")
     if r < 0 or r > n:
         return 0.0
-    if r == 0:
-        return 1.0
-    if abs(q - 1.0) < _Q_ONE_BAND:
-        return binomial(n, r)
-    out = 1.0
-    for i in range(r):
-        out *= q_number((n - i) / (r - i), q ** (r - i))
-    return out
+    return float(_gaussian_row(n, q)[r])
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,8 @@ class QContext:
             )
         if self.n < 1:
             raise ValueError(f"degree must be positive, got n={self.n}")
-        denom = q_number(self.n, self.q)
-        nodes = np.array([q_number(i, self.q) / denom for i in range(self.n + 1)])
-        nodes[0] = 0.0
-        nodes[self.n] = 1.0
-        object.__setattr__(self, "nodes", nodes)
+        qint = q_number(np.arange(self.n + 1), self.q)
+        object.__setattr__(self, "nodes", qint / qint[self.n])
 
 
 def q_basis(ctx: QContext, i: int, t: float) -> float:
@@ -96,8 +94,7 @@ def _q_basis_vector(ctx: QContext, t) -> np.ndarray:
     n, q = ctx.n, ctx.q
     t = _checked_points("t", t, 1)
     column = (n + 1,) + (1,) * t.ndim
-    i = np.arange(n + 1).reshape(column)
-    out = np.array([q_binomial(n, r, q) for r in range(n + 1)]).reshape(column) * t**i
+    out = _gaussian_row(n, q).reshape(column) * t ** np.arange(n + 1).reshape(column)
     for s in range(n):
         out[: n - s] *= 1.0 - t * q**s
     return out

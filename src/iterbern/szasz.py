@@ -1,10 +1,10 @@
 """Iterated Szasz-Mirakyan approximation on a truncated node range.
 
 The operator's Poisson sums are infinite; everything here works on the
-index set 0..M where M is chosen so the Poisson tail mass beyond it is
-below a configured tolerance. The truncation defect is measurable via
-partition_defect, never silently renormalized away. The weights take arrays
-of points: the operator is the weights at the nodes, and a grid is one call.
+index set 0..M where M is chosen so the Poisson tail mass beyond it, summed
+from the top, is below a configured tolerance. The truncation defect is
+measurable via partition_defect, never silently renormalized away. The
+weights take arrays of points: the operator is the weights at the nodes.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 from .core import _checked_points, _sample_nodes
 from .iterated import _iterate
 
-# Iterating on more nodes than this is a sign the context is misconfigured.
-HARD_NODE_CAP = 50_000
+# Most nodes a context may hold: the dense operator on them stays below 1 GiB.
+HARD_NODE_CAP = 11_000
 
 
 def poisson_basis(n: int, i: int, x: float) -> float:
@@ -46,22 +46,23 @@ def _poisson_vector(n: int, x, m: int) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _truncation_index(mean: float, tail_tol: float) -> int:
-    """Smallest M >= ceil(mean) whose Poisson tail mass is below tail_tol.
+def _tail_masses(mean: float, start: int) -> np.ndarray:
+    """Poisson tail masses P(X > m) for m = 0..horizon - 1, summed from the top.
 
-    Found by direct summation of the pmf, which is exact control rather
-    than an analytic bound; valid for mean up to ~1e4.
+    The horizon lies 20 standard deviations plus 60 above max(start, mean);
+    the mass past it, below 1e-87 at every mean up to the node cap, is dropped.
     """
-    start = max(int(math.ceil(mean)), 1)
-    horizon = start + int(20 * math.sqrt(mean + 1)) + 60
-    pmf = _poisson_vector(1, mean, horizon)
-    tail = 1.0 - np.cumsum(pmf)
-    for m in range(start, horizon + 1):
-        if tail[m] < tail_tol:
-            return m
-    raise ValueError(
-        f"could not reach tail mass {tail_tol} below index {horizon}"
-    )
+    horizon = max(start, math.ceil(mean)) + int(20 * math.sqrt(mean + 1)) + 60
+    return np.cumsum(_poisson_vector(1, mean, horizon)[:0:-1])[::-1]
+
+
+def _truncation_index(mean: float, tail_tol: float) -> int:
+    """Smallest M >= ceil(mean) whose Poisson tail mass is below tail_tol."""
+    start = math.ceil(mean)
+    below = np.flatnonzero(_tail_masses(mean, start)[start:] < tail_tol)
+    if below.size == 0:
+        raise ValueError(f"could not reach tail mass {tail_tol} at mean {mean}")
+    return start + int(below[0])
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,8 @@ class SzaszContext:
             raise ValueError(f"x_max must be positive and finite, got {self.x_max}")
         if not 0 < self.tail_tol <= 1e-6:
             raise ValueError(f"tail_tol must be in (0, 1e-6], got {self.tail_tol}")
+        if self.n * self.x_max > HARD_NODE_CAP:  # M >= n*x_max: reject before any tail
+            raise ValueError(f"n*x_max={self.n * self.x_max} exceeds the cap {HARD_NODE_CAP}")
         if self.M == 0:
             m_tail = _truncation_index(self.n * self.x_max, self.tail_tol)
             # Iteration lets the truncation defect at the top node diffuse
@@ -92,14 +95,16 @@ class SzaszContext:
             raise ValueError(
                 f"M={self.M} is below ceil(n*x_max)={math.ceil(self.n * self.x_max)}"
             )
+        if self.M > HARD_NODE_CAP:
+            raise ValueError(f"M={self.M} exceeds the node cap {HARD_NODE_CAP}")
 
     @property
     def nodes(self) -> np.ndarray:
         return np.arange(self.M + 1) / self.n
 
     def partition_defect(self, x: float) -> float:
-        """Truncation defect 1 - sum of the retained weights at x."""
-        return 1.0 - float(np.sum(_poisson_vector(self.n, x, self.M)))
+        """Truncation defect at x: the Poisson tail mass above M, summed from the top."""
+        return float(_tail_masses(self.n * x, self.M)[self.M])
 
 
 def szasz_apply(fn, ctx: SzaszContext, x: float) -> float:
@@ -118,8 +123,6 @@ def szasz_coefficients(fn, ctx: SzaszContext, k: int) -> np.ndarray:
     truncated nodes; the coefficients then come from the Bernstein
     recurrence. Compute once, then evaluate with szasz_eval on a grid.
     """
-    if ctx.M > HARD_NODE_CAP:
-        raise ValueError(f"M={ctx.M} exceeds the node cap {HARD_NODE_CAP}")
     return _iterate(
         _sample_nodes(fn, ctx.nodes), lambda: _poisson_vector(ctx.n, ctx.nodes, ctx.M), k
     )

@@ -194,6 +194,32 @@ def test_szasz_grid_report(tmp_path):
     assert e3 < e1
 
 
+def test_szasz_tail_tol_near_rounding(tmp_path):
+    # 1e-14 is below what 1 - (a sum near 1) resolves; tails summed from the
+    # top reach it.
+    mpmath = pytest.importorskip("mpmath")
+    out = tmp_path / "sz.csv"
+    rc = main(["szasz", "--fn", "chi4", "--n", "10", "--k", "1,2", "--tail-tol", "1e-14",
+               "--grid", "11", "--out", str(out)])
+    assert rc == 0
+    meta, _, _ = read_report(out)
+    m = int(meta["M"])
+    with mpmath.workdps(30):
+        tail = mpmath.gammainc(m + 1, 0, 10 * 8.0, regularized=True)  # P(X > M)
+    assert tail < 1e-14
+
+
+@pytest.mark.parametrize("n,q", [("1100", "1.0"), ("200", "1.1")])
+def test_qbernstein_overflow_is_numeric_error(n, q, tmp_path, capsys):
+    # The Gaussian row [n, r]_q leaves the float range: exit 3, no NaN report.
+    out = tmp_path / "q.csv"
+    rc = main(["qbernstein", "--fn", "sin2pi", "--n", n, "--q", q, "--k", "1",
+               "--grid", "5", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numeric error: ")
+    assert not out.exists()
+
+
 def test_szasz_constant(tmp_path):
     out = tmp_path / "szc.csv"
     rc = main(["szasz", "--fn", "one", "--n", "5", "--k", "1", "--xmax", "4",
@@ -318,6 +344,7 @@ BAD_ARGV = [
     ["qbernstein", "--fn", "sin2pi", "--q", "nan", "--out", "OUT"],
     ["szasz", "--fn", "chi4", "--xmax", "inf", "--out", "OUT"],
     ["szasz", "--fn", "chi4", "--xmax", "nan", "--out", "OUT"],
+    ["szasz", "--fn", "chi4", "--n", "2000", "--k", "2", "--out", "OUT"],
     ["approx", "--fn", "sin2pi", "--k", "1000001", "--out", "OUT"],
     ["integrate", "--fn", "expx", "--k", "1000001"],
 ]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from iterbern import iterated
 from iterbern import (
     INFINITY,
     ConditioningError,
@@ -223,6 +224,27 @@ class TestErrorEstimate:
         true = eval_iterated(iterate_coefficients(s, 1), 0.25) - f(0.25)
         assert est * true > 0
         assert 0.5 < est / true < 2.0
+
+    @pytest.mark.parametrize("n,k", [(5, 1), (12, 7), (30, 200)])
+    def test_matches_two_iterate_definition(self, n, k):
+        s = UniformSamples(n, np.sin(3 * np.arange(n + 1) / n) + 0.3)
+        for t in (0.0, 0.13, 0.5, 0.91):
+            want = eval_iterated(iterate_coefficients(s, k), t) - eval_iterated(
+                iterate_coefficients(s, k + 1), t
+            )
+            assert error_estimate(s, k, t) == pytest.approx(want, abs=1e-13)
+
+    def test_runs_the_recurrence_once(self, monkeypatch):
+        orders = []
+        iterate = iterated._iterate
+
+        def counted(f1, build_matrix, k):
+            orders.append(k)
+            return iterate(f1, build_matrix, k)
+
+        monkeypatch.setattr(iterated, "_iterate", counted)
+        error_estimate(UniformSamples(9, np.linspace(0, 1, 10) ** 2), 40, 0.3)
+        assert orders == [40]
 
 
 class TestConvergenceOfIterates:

@@ -1,6 +1,7 @@
 """Tests for q-numbers, Gaussian binomials and iterated q-Bernstein polys."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ class TestQNumber:
 
     def test_q_one_limit(self):
         assert q_number(5.0, 1.0) == 5.0
-        assert q_number(5.0, 1.0 + 1e-13) == 5.0
+        q = 1.0 + 1e-13
+        geometric = float(sum(Fraction(q) ** j for j in range(5)))  # exact, rounded once
+        assert q_number(5.0, q) == pytest.approx(geometric, rel=1e-15, abs=0)
 
     def test_q_two(self):
         assert q_number(3, 2.0) == pytest.approx(7.0)
@@ -41,6 +44,29 @@ class TestQNumber:
     def test_nonpositive_q(self):
         with pytest.raises(ValueError, match="positive"):
             q_number(2, 0.0)
+
+    @pytest.mark.parametrize("q", [1.0 - 1e-9, 1.0 + 1e-9])
+    def test_near_one_oracle(self, q):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            qm = mpmath.mpf(q)
+            want = float((1 - qm**2.5) / (1 - qm))
+        assert q_number(2.5, q) == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_array(self):
+        x = np.array([0.0, 1.0, 2.5, 7.0])
+        assert np.array_equal(q_number(x, 1.2), [q_number(v, 1.2) for v in x])
+        assert np.array_equal(q_number(x, 1.0), x)
+
+
+# q within 1e-6 of 1, where (1 - q^x) / (1 - q) loses up to 8 digits.
+NEAR_ONE = [1.0 - 1e-9, 1.0 + 1e-11, 1.0 + 1e-9, 1.0 + 1e-6]
+
+
+def mp_q_integers(q, n, mpmath):
+    """[0]_q..[n]_q as mpmath numbers, from the double q taken exactly."""
+    qm = mpmath.mpf(q)
+    return [(1 - qm**i) / (1 - qm) for i in range(n + 1)]
 
 
 class TestQBinomial:
@@ -66,6 +92,23 @@ class TestQBinomial:
                 den = math.prod(1 - q ** (r - i) for i in range(r))
                 assert q_binomial(n, r, q) == pytest.approx(num / den, rel=1e-11)
 
+    @pytest.mark.parametrize("n,q", [(1100, 1.0), (200, 1.1)])
+    def test_overflow_raises(self, n, q):
+        # [n, n/2]_q is past the float range: an error, never inf or NaN.
+        with pytest.raises(ArithmeticError):
+            q_binomial(n, n // 2, q)
+
+    @pytest.mark.parametrize("q", NEAR_ONE)
+    def test_near_one_oracle(self, q):
+        mpmath = pytest.importorskip("mpmath")
+        n = 30
+        with mpmath.workdps(50):
+            qint = mp_q_integers(q, n, mpmath)
+            want = [float(mpmath.fprod(qint[n - r + 1 : n + 1]) / mpmath.fprod(qint[1 : r + 1]))
+                    for r in range(n + 1)]
+        got = [q_binomial(n, r, q) for r in range(n + 1)]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
 
 class TestQContext:
     def test_nodes_q1_uniform(self):
@@ -76,6 +119,15 @@ class TestQContext:
         ctx = QContext(1.2, 9)
         assert ctx.nodes[0] == 0.0 and ctx.nodes[-1] == 1.0
         assert np.all(np.diff(ctx.nodes) > 0)
+
+    @pytest.mark.parametrize("q", NEAR_ONE)
+    def test_nodes_near_one_oracle(self, q):
+        mpmath = pytest.importorskip("mpmath")
+        n = 30
+        with mpmath.workdps(50):
+            qint = mp_q_integers(q, n, mpmath)
+            want = [float(v / qint[n]) for v in qint]
+        np.testing.assert_allclose(QContext(q, n).nodes, want, rtol=0, atol=1e-15)
 
     def test_attraction_toward_zero(self):
         ctx = QContext(1.3, 10)

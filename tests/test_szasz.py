@@ -13,7 +13,8 @@ from iterbern import (
     szasz_eval,
     szasz_iterated,
 )
-from iterbern.szasz import _poisson_vector
+from iterbern import szasz
+from iterbern.szasz import HARD_NODE_CAP, _poisson_vector
 
 
 def poisson_pmf_oracle(mean, i):
@@ -79,10 +80,35 @@ class TestSzaszContext:
         with pytest.raises(ValueError, match="tail_tol"):
             SzaszContext(10, 8.0, 1e-3)
 
+    @pytest.mark.parametrize("n,x_max", [(10, 8.0), (30, 8.0), (5, 4.0)])
+    def test_partition_defect_oracle(self, n, x_max):
+        # The defect is the Poisson tail above M, P(X > M) = P(M + 1, n x)
+        # (regularized lower incomplete gamma), far below rounding of 1.
+        mpmath = pytest.importorskip("mpmath")
+        ctx = SzaszContext(n, x_max)
+        for x in (x_max / 2, x_max):
+            with mpmath.workdps(50):
+                want = float(mpmath.gammainc(ctx.M + 1, 0, n * mpmath.mpf(x), regularized=True))
+            got = ctx.partition_defect(x)
+            assert got >= 0.0
+            assert got == pytest.approx(want, rel=1e-10, abs=0)
+
     @pytest.mark.parametrize("x_max", [math.inf, math.nan])
     def test_nonfinite_x_max_rejected(self, x_max):
         with pytest.raises(ValueError, match="x_max must be positive and finite"):
             SzaszContext(10, x_max)
+
+    def test_node_count_checked_before_tail(self, monkeypatch):
+        def no_tail(*args):
+            raise AssertionError("tail computed for a context over the cap")
+
+        monkeypatch.setattr(szasz, "_tail_masses", no_tail)
+        with pytest.raises(ValueError, match=r"n\*x_max=16000.0 exceeds the cap"):
+            SzaszContext(2000)
+
+    def test_largest_default_context_fits_the_cap(self):
+        ctx = SzaszContext(1000)
+        assert ctx.M <= HARD_NODE_CAP
 
 
 class TestSzaszApply:
@@ -180,6 +206,5 @@ class TestSzaszIterated:
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
 
     def test_node_cap(self):
-        ctx = SzaszContext(10, 8.0, 1e-12, M=60_000)
         with pytest.raises(ValueError, match="cap"):
-            szasz_iterated(lambda u: u, ctx, 2, 1.0)
+            SzaszContext(10, 8.0, 1e-12, M=60_000)
