@@ -66,7 +66,7 @@ def parse_k_list(text: str) -> list:
     for tok in text.split(","):
         tok = tok.strip()
         if tok == "inf":
-            out.append(INFINITY)
+            k = INFINITY
         else:
             try:
                 k = int(tok)
@@ -74,7 +74,9 @@ def parse_k_list(text: str) -> list:
                 raise UsageError(f"bad k value {tok!r} (expected integer or 'inf')")
             if not 1 <= k <= MAX_ITERATIONS:
                 raise UsageError(f"k must be in 1..{MAX_ITERATIONS}, got {k}")
-            out.append(k)
+        if k in out:
+            raise UsageError(f"k={tok} given twice")
+        out.append(k)
     if not out:
         raise UsageError("empty k list")
     return out

@@ -41,12 +41,12 @@ def _checked_points(name: str, x, upper) -> np.ndarray:
 
 
 def _sample_nodes(fn, nodes: np.ndarray) -> np.ndarray:
-    """fn at each node; a non-finite value or an ArithmeticError raises ValueError."""
+    """fn at each node; a non-finite value, ArithmeticError or ValueError raises ValueError."""
     values = np.empty(len(nodes))
     for j, x in enumerate(nodes.tolist()):
         try:
             values[j] = fn(x)
-        except ArithmeticError:
+        except (ArithmeticError, ValueError):  # e.g. math.sin(inf)
             values[j] = math.nan
         if not math.isfinite(values[j]):
             raise ValueError(f"function is not finite at node x={x}")

@@ -7,7 +7,8 @@ recurrence is the same for every operator family; _iterate runs exactly
 k - 1 steps of it on any node matrix, and the Szasz-Mirakyan and q-Bernstein
 modules call it with theirs. The limit solves X B = F(1), which makes the
 limiting approximant interpolate the samples at the nodes; it is the only
-path with a degree cap.
+path with a degree cap. The Bernstein and q-Bernstein operators reproduce
+the end-sample chord l, so each order is F(1) + (op(g) - g), g = F(1) - l.
 """
 
 from __future__ import annotations
@@ -77,14 +78,20 @@ def _iterate(f1: np.ndarray, build_matrix, k: int) -> np.ndarray:
     return f
 
 
+def _minus_chord(f1: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """f1 minus its end-sample chord; exactly 0 at both ends and for constant f1."""
+    return (f1 - f1[0]) - (f1[-1] - f1[0]) * nodes
+
+
 def iterate_coefficients(
     samples: UniformSamples, k: int, matrix: BernsteinMatrix | None = None
 ) -> IterCoefficients:
-    """Coefficients of order k via the shared recurrence."""
+    """Coefficients of order k via the shared recurrence on the chord-free part."""
     def build():
         return (matrix if matrix is not None else bernstein_matrix(samples.n)).entries
 
-    return IterCoefficients(samples.n, k, _iterate(samples.values, build, k))
+    g = _minus_chord(samples.values, samples.nodes)
+    return IterCoefficients(samples.n, k, samples.values + (_iterate(g, build, k) - g))
 
 
 def limit_coefficients(
@@ -92,9 +99,9 @@ def limit_coefficients(
 ) -> IterCoefficients:
     """The k -> infinity coefficients, solving X B = F(1) by pivoted LU.
 
-    The endpoint columns of B are unit vectors, so X[0] and X[n] are fixed
-    to the endpoint samples and only the interior system is solved; this
-    keeps endpoint interpolation exact regardless of conditioning.
+    The chord-free part g vanishes at both end nodes and the endpoint
+    columns of B are unit vectors, so only the interior system Y B = g is
+    solved; endpoint interpolation stays exact regardless of conditioning.
     """
     n = samples.n
     if n > LIMIT_DEGREE_CAP and not force:
@@ -106,21 +113,17 @@ def limit_coefficients(
         matrix = bernstein_matrix(n)
     b = matrix.entries
     f1 = samples.values
-    x = np.empty(n + 1)
-    x[0] = f1[0]
-    x[n] = f1[n]
+    g = _minus_chord(f1, samples.nodes)
+    x = f1.copy()
     if n >= 2:
-        # X B = F(1) transposes to B^T X^T = F(1)^T; rows 0 and n of B^T are
-        # unit vectors and drop out with the endpoint unknowns.
         a = b[1:n, 1:n].T
-        rhs = f1[1:n] - b[0, 1:n] * f1[0] - b[n, 1:n] * f1[n]
         cond = np.linalg.cond(a, 1)
         if not np.isfinite(cond) or cond > 1e15:
             raise ConditioningError(
                 f"node-evaluation system is numerically singular (cond ~ {cond:.3e})",
                 condition_estimate=float(cond),
             )
-        x[1:n] = np.linalg.solve(a, rhs)
+        x[1:n] += np.linalg.solve(a, g[1:n]) - g[1:n]
     residual = float(np.max(np.abs(x @ b - f1)))
     return IterCoefficients(n, INFINITY, x, residual=residual)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _checked_points
-from .iterated import _iterate
+from .iterated import _iterate, _minus_chord
 
 Q_MAX = 1.5
 Q_WARN = 1.3
@@ -85,19 +85,21 @@ def q_basis(ctx: QContext, i: int, t: float) -> float:
     return float(_q_basis_vector(ctx, t)[i])
 
 
+@np.errstate(over="raise")  # q > 1 overflow raises, as in the Gaussian row
 def _q_basis_vector(ctx: QContext, t) -> np.ndarray:
     """All n+1 q-Bernstein basis values at t, shape (n+1,) + shape(t).
 
-    Q_{ni}(t) = [n, i]_q t^i prod_{s < n-i} (1 - q^s t): factor s multiplies
-    the rows i < n - s.
+    Q_{ni}(t) = [n, i]_q t^i tail_{n-i}(t), where tail_m(t) = prod_{s < m}
+    (1 - q^s t) is one running product over s.
     """
     n, q = ctx.n, ctx.q
     t = _checked_points("t", t, 1)
     column = (n + 1,) + (1,) * t.ndim
-    out = _gaussian_row(n, q).reshape(column) * t ** np.arange(n + 1).reshape(column)
-    for s in range(n):
-        out[: n - s] *= 1.0 - t * q**s
-    return out
+    row = _gaussian_row(n, q).reshape(column)
+    powers = np.arange(n + 1).reshape(column)
+    tail = np.cumprod(1.0 - q ** powers[:-1] * t, axis=0)
+    tail = np.concatenate((np.ones((1,) + t.shape), tail))
+    return row * t**powers * tail[::-1]
 
 
 def q_apply(ctx: QContext, node_values, t: float) -> float:
@@ -108,15 +110,16 @@ def q_apply(ctx: QContext, node_values, t: float) -> float:
 def q_coefficients(ctx: QContext, node_values, k: int) -> np.ndarray:
     """Order-k coefficient vector for the iterated q-Bernstein polynomial.
 
-    The classical recurrence, on the operator matrix built from the q-basis
-    evaluated at the q-nodes.
+    The classical recurrence on the samples minus their chord, with the
+    operator matrix built from the q-basis evaluated at the q-nodes.
     """
     node_values = np.asarray(node_values, dtype=float)
     if node_values.shape != (ctx.n + 1,):
         raise ValueError(
             f"expected {ctx.n + 1} node values, got shape {node_values.shape}"
         )
-    return _iterate(node_values, lambda: _q_basis_vector(ctx, ctx.nodes), k)
+    g = _minus_chord(node_values, ctx.nodes)
+    return node_values + (_iterate(g, lambda: _q_basis_vector(ctx, ctx.nodes), k) - g)
 
 
 def q_eval(ctx: QContext, coeffs, t):

@@ -2,10 +2,14 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import iterbern
 from iterbern import cli, iterated
 from iterbern.cli import main, parse_k_list
 from iterbern.iterated import INFINITY
@@ -32,6 +36,8 @@ def test_parse_k_list():
     assert parse_k_list("1,2,3,inf") == [1, 2, 3, INFINITY]
     with pytest.raises(Exception):
         parse_k_list("1,zero")
+    with pytest.raises(cli.UsageError, match="twice"):
+        parse_k_list("1,inf,inf")
 
 
 def test_approx_shape_and_roundtrip(tmp_path):
@@ -126,6 +132,13 @@ def test_integrate_gauss_table1(capsys):
     assert rc == 0
     value = float(capsys.readouterr().out.strip())
     assert value == pytest.approx(0.3413510, abs=5e-7)
+
+
+def test_integrate_nonfinite_node_is_numeric_error(capsys):
+    # pi * 6e307 overflows, and math.sin(inf) raises ValueError, not ArithmeticError.
+    rc = main(["integrate", "--fn", "sinpi", "--a", "0", "--b", "1e308", "--k", "2"])
+    assert rc == 3
+    assert "function is not finite at node x=6e+307" in capsys.readouterr().err
 
 
 def test_integrate_constant_shifted_interval(capsys):
@@ -347,6 +360,7 @@ BAD_ARGV = [
     ["szasz", "--fn", "chi4", "--n", "2000", "--k", "2", "--out", "OUT"],
     ["approx", "--fn", "sin2pi", "--k", "1000001", "--out", "OUT"],
     ["integrate", "--fn", "expx", "--k", "1000001"],
+    ["approx", "--fn", "sin2pi", "--k", "1,1", "--out", "OUT"],
 ]
 
 
@@ -404,3 +418,11 @@ def test_derivative_of_order_n(tmp_path):
                  "--grid", "5", "--out", str(out)]) == 0
     _, header, rows = read_report(out)
     assert header == ["t", "d2_k1"] and len({r[1] for r in rows}) == 1
+
+
+def test_library_and_cli_import_without_scipy():
+    # numpy is the only runtime dependency; scipy is a test extra.
+    code = "import sys, iterbern, iterbern.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(iterbern.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

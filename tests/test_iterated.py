@@ -21,6 +21,7 @@ from iterbern import (
     iterated_basis,
     limit_coefficients,
 )
+from iterbern.functions import registry_lookup
 
 T2_N2 = UniformSamples(2, np.array([0.0, 0.25, 1.0]))
 
@@ -42,7 +43,14 @@ def closed_form_coefficients(samples, k):
 class TestIterateCoefficients:
     def test_k1_is_samples(self):
         s = UniformSamples(4, np.array([1.0, -2.0, 0.5, 3.0, 0.0]))
-        assert iterate_coefficients(s, 1).coeffs == pytest.approx(s.values)
+        assert np.array_equal(iterate_coefficients(s, 1).coeffs, s.values)
+
+    @pytest.mark.parametrize("n, k", [(30, 10**4), (12, 9091)])
+    def test_constant_samples_exact(self, n, k):
+        # Constants lie on the chord, so no step of the recurrence rounds them.
+        for c in (1.0, 0.3):
+            s = UniformSamples(n, np.full(n + 1, c))
+            assert np.array_equal(iterate_coefficients(s, k).coeffs, s.values)
 
     def test_linear_fixed_point(self):
         s = UniformSamples(7, 1.5 - 0.75 * np.arange(8) / 7)
@@ -138,6 +146,20 @@ class TestLimitCoefficients:
         for i in range(n + 1):
             assert abs(eval_iterated(c, i / n) - s.values[i]) < 1e-8 * cond
 
+    @pytest.mark.parametrize("name", ["expx", "gauss"])
+    def test_matches_high_precision_solve(self, name):
+        # At the degree cap only the chord-free part goes through the solve.
+        mpmath = pytest.importorskip("mpmath")
+        n = iterated.LIMIT_DEGREE_CAP
+        s = UniformSamples.from_function(registry_lookup(name), n)
+        with mpmath.workdps(60):
+            nodes = [mpmath.mpf(j) / n for j in range(n + 1)]
+            a = mpmath.matrix([[mpmath.binomial(n, i) * x**i * (1 - x) ** (n - i)
+                                for i in range(n + 1)] for x in nodes])
+            ref = np.array([float(v) for v in mpmath.lu_solve(a, list(s.values))])
+        got = limit_coefficients(s).coeffs
+        assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 5e-5
+
     def test_residual_reported(self):
         c = limit_coefficients(T2_N2)
         assert c.residual is not None and c.residual < 1e-12
@@ -156,8 +178,9 @@ class TestEvalIterated:
     def test_endpoint_values_all_orders(self):
         rng = np.random.default_rng(3)
         s = UniformSamples(9, rng.normal(size=10))
-        for k in [1, 2, 5, 10, INFINITY]:
+        for k in [1, 2, 5, 10, 50, 10**4, INFINITY]:
             c = coefficients(s, k)
+            assert (c.coeffs[0], c.coeffs[-1]) == (s.values[0], s.values[-1])
             assert eval_iterated(c, 0.0) == pytest.approx(s.values[0], abs=1e-12)
             assert eval_iterated(c, 1.0) == pytest.approx(s.values[-1], abs=1e-12)
 

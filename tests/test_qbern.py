@@ -252,6 +252,24 @@ class TestQIterated:
                         t, abs=1e-10
                     )
 
+    @pytest.mark.parametrize("q, n, k", [(0.9, 20, 3000), (0.7, 30, 10**4), (1.2, 15, 2000)])
+    def test_constant_samples_exact(self, q, n, k):
+        ctx = QContext(q, n)
+        for c in (1.0, 0.3):
+            vals = np.full(n + 1, c)
+            assert np.array_equal(q_coefficients(ctx, vals, k), vals)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 1.1, 1.3])
+    def test_end_coefficients_are_end_samples(self, q):
+        # [n, n]_q from the Gaussian row may be an ulp off 1, so the last
+        # column of the operator need not be an exact unit vector.
+        for n in (5, 17, 30):
+            ctx = QContext(q, n)
+            vals = np.exp(ctx.nodes)
+            for k in (1, 2, 50, 2000, 10**4):
+                c = q_coefficients(ctx, vals, k)
+                assert (c[0], c[-1]) == (vals[0], vals[-1]), (n, k)
+
     @pytest.mark.parametrize("q", [0.8, 1.0, 1.1])
     def test_eval_array_matches_pointwise(self, q):
         ctx = QContext(q, 12)
