@@ -8,10 +8,16 @@ node matrix is the basis at the nodes, and a grid is one call too.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Degrees whose node matrix is built once and shared; all of them together
+# hold 8 * sum((n+1)^2) bytes, about 5.8 MB.
+_CACHED_DEGREE_MAX = 128
 
 
 class ConditioningError(ValueError):
@@ -111,11 +117,12 @@ class UniformSamples:
 
 @dataclass(frozen=True)
 class BernsteinMatrix:
-    """Dense (n+1) x (n+1) matrix with entries B_{n,i}(j/n).
+    """Dense (n+1) x (n+1) read-only matrix with entries B_{n,i}(j/n).
 
     Right-multiplication by a row vector of node samples yields the node
     samples of the Bernstein approximant. Columns 0 and n are exact unit
-    vectors, so endpoint samples are invariant under the operator.
+    vectors, so endpoint samples are invariant under the operator. A
+    writable array passed in is copied first, so the caller's stays writable.
     """
 
     n: int
@@ -125,11 +132,31 @@ class BernsteinMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.shape != (self.n + 1, self.n + 1):
             raise ValueError(f"matrix shape {entries.shape} does not match n={self.n}")
+        if entries.flags.writeable:
+            entries = entries.copy()
+            entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
+
+    @functools.cached_property
+    def _interior_condition(self) -> float:
+        """1-norm condition estimate of the interior block B[1:n, 1:n]^T."""
+        return np.linalg.cond(self.entries[1 : self.n, 1 : self.n].T, 1)
+
+
+def _build_matrix(n: int) -> BernsteinMatrix:
+    return BernsteinMatrix(n, basis_vector(n, np.arange(n + 1) / n))
+
+
+_cached_matrix = functools.cache(_build_matrix)
 
 
 def bernstein_matrix(n: int) -> BernsteinMatrix:
-    """Build the node-evaluation matrix for degree n."""
+    """The read-only node-evaluation matrix for degree n.
+
+    Degrees up to _CACHED_DEGREE_MAX are built once and shared; higher ones
+    are built on every call and never retained.
+    """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"degenerate degree n={n}; need n >= 1")
-    return BernsteinMatrix(n, basis_vector(n, np.arange(n + 1) / n))
+    return _cached_matrix(n) if n <= _CACHED_DEGREE_MAX else _build_matrix(n)

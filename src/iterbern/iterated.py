@@ -116,14 +116,13 @@ def limit_coefficients(
     g = _minus_chord(f1, samples.nodes)
     x = f1.copy()
     if n >= 2:
-        a = b[1:n, 1:n].T
-        cond = np.linalg.cond(a, 1)
+        cond = matrix._interior_condition
         if not np.isfinite(cond) or cond > 1e15:
             raise ConditioningError(
                 f"node-evaluation system is numerically singular (cond ~ {cond:.3e})",
                 condition_estimate=float(cond),
             )
-        x[1:n] += np.linalg.solve(a, g[1:n]) - g[1:n]
+        x[1:n] += np.linalg.solve(b[1:n, 1:n].T, g[1:n]) - g[1:n]
     residual = float(np.max(np.abs(x @ b - f1)))
     return IterCoefficients(n, INFINITY, x, residual=residual)
 

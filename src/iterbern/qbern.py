@@ -57,11 +57,12 @@ def q_binomial(n: int, r: int, q: float) -> float:
 
 @dataclass(frozen=True)
 class QContext:
-    """q parameter, degree and the nonuniform nodes [i]_q / [n]_q."""
+    """q parameter, degree, the nonuniform nodes [i]_q / [n]_q and the Gaussian row."""
 
     q: float
     n: int
     nodes: np.ndarray = field(default=None, repr=False)
+    _row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.q <= Q_MAX:  # also rejects NaN
@@ -76,6 +77,7 @@ class QContext:
             raise ValueError(f"degree must be positive, got n={self.n}")
         qint = q_number(np.arange(self.n + 1), self.q)
         object.__setattr__(self, "nodes", qint / qint[self.n])
+        object.__setattr__(self, "_row", _gaussian_row(self.n, self.q))
 
 
 def q_basis(ctx: QContext, i: int, t: float) -> float:
@@ -95,7 +97,7 @@ def _q_basis_vector(ctx: QContext, t) -> np.ndarray:
     n, q = ctx.n, ctx.q
     t = _checked_points("t", t, 1)
     column = (n + 1,) + (1,) * t.ndim
-    row = _gaussian_row(n, q).reshape(column)
+    row = ctx._row.reshape(column)
     powers = np.arange(n + 1).reshape(column)
     tail = np.cumprod(1.0 - q ** powers[:-1] * t, axis=0)
     tail = np.concatenate((np.ones((1,) + t.shape), tail))

@@ -22,27 +22,27 @@ HARD_NODE_CAP = 11_000
 
 
 def poisson_basis(n: int, i: int, x: float) -> float:
-    """Poisson weight e^{-nx} (nx)^i / i!, computed in log space."""
-    if x < 0:
+    """Poisson weight e^{-nx} (nx)^i / i!, computed in log space at index i alone."""
+    if not 0 <= x < math.inf:  # also rejects NaN
         raise ValueError(f"x={x} outside [0, inf)")
     if i < 0:
         raise ValueError(f"index must be nonnegative, got i={i}")
-    return float(_poisson_vector(n, x, i)[i])
+    return float(_poisson_vector(n, x, i, start=i)[0])
 
 
-def _poisson_vector(n: int, x, m: int) -> np.ndarray:
-    """Poisson weights for indices 0..m at x, shape (m+1,) + shape(x).
+def _poisson_vector(n: int, x, m: int, start: int = 0) -> np.ndarray:
+    """Poisson weights for indices start..m at x, shape (m+1-start,) + shape(x).
 
     Built in place as exp(i log(nx) - nx - lgamma(i+1)): (nx)^i and i! never
     overflow, and no temporary of the result's size is made.
     """
     mean = n * np.asarray(x, dtype=float)
-    i = np.arange(m + 1).reshape((m + 1,) + (1,) * mean.ndim)
-    out = np.zeros((m + 1,) + mean.shape)
+    i = np.arange(start, m + 1).reshape((-1,) + (1,) * mean.ndim)
+    out = np.zeros((len(i),) + mean.shape)
     with np.errstate(divide="ignore"):
         np.multiply(i, np.log(mean), out=out, where=i > 0)
     out -= mean
-    out -= np.array([math.lgamma(v + 1) for v in range(m + 1)]).reshape(i.shape)
+    out -= np.array([math.lgamma(v + 1) for v in range(start, m + 1)]).reshape(i.shape)
     return np.exp(out, out=out)
 
 
@@ -103,7 +103,12 @@ class SzaszContext:
         return np.arange(self.M + 1) / self.n
 
     def partition_defect(self, x: float) -> float:
-        """Truncation defect at x: the Poisson tail mass above M, summed from the top."""
+        """Truncation defect at x: the Poisson tail mass above M, summed from the top.
+
+        n*x is capped at HARD_NODE_CAP, as n*x_max is, which bounds the sum's length.
+        """
+        if not 0 <= self.n * x <= HARD_NODE_CAP:  # also rejects NaN
+            raise ValueError(f"x={x} outside [0, {HARD_NODE_CAP / self.n}]")
         return float(_tail_masses(self.n * x, self.M)[self.M])
 
 

@@ -1,6 +1,8 @@
 """Tests for the Bernstein basis and the classical operator."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iterbern import core
 from iterbern import (
+    BernsteinMatrix,
     UniformSamples,
     basis_eval,
     basis_vector,
@@ -195,7 +199,7 @@ class TestBernsteinMatrix:
         assert eig[-1] <= 1.0 + 1e-10
         assert np.sum(np.abs(eig - 1.0) < 1e-8) == 2
 
-    @pytest.mark.parametrize("n", [1, 5, 30])
+    @pytest.mark.parametrize("n", [1, 5, 30, 128, 129])
     def test_matches_column_by_column(self, n):
         columns = np.column_stack([basis_vector(n, j / n) for j in range(n + 1)])
         assert np.array_equal(bernstein_matrix(n).entries, columns)
@@ -203,3 +207,39 @@ class TestBernsteinMatrix:
     def test_degenerate_degree(self):
         with pytest.raises(ValueError, match="degenerate|positive"):
             bernstein_matrix(0)
+        bernstein_matrix(5)
+        with pytest.raises(TypeError):  # not served from the cache entry of 5
+            bernstein_matrix(5.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 128])
+    def test_built_once_per_degree(self, n):
+        assert bernstein_matrix(n) is bernstein_matrix(n)
+        assert bernstein_matrix(np.int64(n)) is bernstein_matrix(n)
+
+    def test_degree_above_cache_not_retained(self):
+        assert bernstein_matrix(129) is not bernstein_matrix(129)
+        ref = weakref.ref(bernstein_matrix(150))
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("n", [3, 129])
+    def test_entries_read_only(self, n):
+        b = bernstein_matrix(n).entries
+        assert not b.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            b[0, 0] = 2.0
+        assert bernstein_matrix(n).entries[0, 0] == 1.0
+
+    def test_callers_array_stays_writable(self):
+        entries = np.eye(3)
+        matrix = BernsteinMatrix(2, entries)
+        assert entries.flags.writeable and not matrix.entries.flags.writeable
+        entries[0, 0] = 5.0
+        assert matrix.entries[0, 0] == 1.0
+
+    def test_cache_bounded(self):
+        for n in range(1, 201):
+            bernstein_matrix(n)
+        assert core._cached_matrix.cache_info().currsize <= 128
+        cached = sum(bernstein_matrix(n).entries.nbytes for n in range(1, 129))
+        assert cached <= 5.8e6

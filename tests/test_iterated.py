@@ -8,6 +8,7 @@ import pytest
 from iterbern import iterated
 from iterbern import (
     INFINITY,
+    BernsteinMatrix,
     ConditioningError,
     UniformSamples,
     bernstein_apply,
@@ -163,6 +164,22 @@ class TestLimitCoefficients:
     def test_residual_reported(self):
         c = limit_coefficients(T2_N2)
         assert c.residual is not None and c.residual < 1e-12
+
+    def test_condition_estimated_once_per_matrix(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+
+        def counted(*args):
+            calls.append(args)
+            return cond(*args)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        n = 12
+        matrix = BernsteinMatrix(n, bernstein_matrix(n).entries)
+        samples = UniformSamples.from_function(math.exp, n)
+        results = [limit_coefficients(samples, matrix=matrix).coeffs for _ in range(3)]
+        assert len(calls) == 1
+        assert all(np.array_equal(r, results[0]) for r in results)
 
     def test_cap_enforced_and_forceable(self):
         n = 31

@@ -22,6 +22,7 @@ from iterbern import (
     q_iterated,
     q_number,
 )
+from iterbern import qbern
 from iterbern.qbern import _q_basis_vector
 
 
@@ -133,6 +134,17 @@ class TestQContext:
         ctx = QContext(1.3, 10)
         for i in range(1, 10):
             assert ctx.nodes[i] < i / 10
+
+    def test_gaussian_row_built_once(self, monkeypatch):
+        ctx = QContext(0.9, 12)
+        assert np.array_equal(ctx._row, qbern._gaussian_row(12, 0.9))
+
+        def no_row(*args):
+            raise AssertionError("Gaussian row recomputed after construction")
+
+        monkeypatch.setattr(qbern, "_gaussian_row", no_row)
+        for t in (0.0, 0.4, np.linspace(0, 1, 5)):
+            _q_basis_vector(ctx, t)
 
     def test_range_limits(self):
         with pytest.raises(ValueError, match="supported range"):

@@ -1,6 +1,7 @@
 """Tests for the truncated Szasz-Mirakyan operator and its iterates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,31 @@ class TestPoissonBasis:
     def test_negative_x(self):
         with pytest.raises(ValueError, match="outside"):
             poisson_basis(3, 1, -0.5)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_nonfinite_x(self, x):
+        with pytest.raises(ValueError, match="outside"):
+            poisson_basis(3, 1, x)
+
+    @pytest.mark.parametrize("x", [0.0, 0.3, 2.0, 8.0])
+    def test_matches_vector_entry(self, x):
+        m = 2000
+        row = _poisson_vector(7, x, m)
+        got = np.array([poisson_basis(7, i, x) for i in range(m + 1)])
+        np.testing.assert_allclose(got, row, rtol=5e-16, atol=0)
+
+    def test_large_index_costs_one_weight(self):
+        # Building all i + 1 weights took 55 MB at i = 10^6; measured there
+        # first, so a regression fails before it tries i = 10^8.
+        for i in (10**6, 10**8):
+            tracemalloc.start()
+            try:
+                got = poisson_basis(10, i, i / 10)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000
+            assert got == pytest.approx(poisson_pmf_oracle(float(i), i), rel=1e-6)
 
 
     def test_array_matches_pointwise(self):
@@ -92,6 +118,21 @@ class TestSzaszContext:
             got = ctx.partition_defect(x)
             assert got >= 0.0
             assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("x", [-1.0, math.nan, 1e8])
+    def test_partition_defect_domain(self, x, monkeypatch):
+        ctx = SzaszContext(10)
+
+        def no_tail(*args):
+            raise AssertionError("tail computed for x outside the domain")
+
+        monkeypatch.setattr(szasz, "_tail_masses", no_tail)
+        with pytest.raises(ValueError, match=f"x={x} outside"):
+            ctx.partition_defect(x)
+
+    def test_partition_defect_at_node_cap(self):
+        ctx = SzaszContext(10)
+        assert 0.0 <= ctx.partition_defect(HARD_NODE_CAP / 10) <= 1.0 + 1e-10
 
     @pytest.mark.parametrize("x_max", [math.inf, math.nan])
     def test_nonfinite_x_max_rejected(self, x_max):
