@@ -82,6 +82,8 @@ def quadrature(g, a: float, b: float, n: int, k, force: bool = False) -> float:
     """
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
+    if n < 1:
+        raise ValueError(f"degree must be positive, got n={n}")
     width = b - a
     values = width * _sample_nodes(g, a + width * (np.arange(n + 1) / n))
     coeffs = coefficients(UniformSamples(n, values), k, force=force)

@@ -117,24 +117,22 @@ class UniformSamples:
 
 @dataclass(frozen=True)
 class BernsteinMatrix:
-    """Dense (n+1) x (n+1) read-only matrix with entries B_{n,i}(j/n).
+    """Dense (n+1) x (n+1) read-only matrix with entries B_{n,i}(j/n), built from n.
 
     Right-multiplication by a row vector of node samples yields the node
     samples of the Bernstein approximant. Columns 0 and n are exact unit
-    vectors, so endpoint samples are invariant under the operator. A
-    writable array passed in is copied first, so the caller's stays writable.
+    vectors, so endpoint samples are invariant under the operator.
     """
 
     n: int
-    entries: np.ndarray = field(repr=False)
+    entries: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.shape != (self.n + 1, self.n + 1):
-            raise ValueError(f"matrix shape {entries.shape} does not match n={self.n}")
-        if entries.flags.writeable:
-            entries = entries.copy()
-            entries.flags.writeable = False
+        n = operator.index(self.n)
+        if n < 1:
+            raise ValueError(f"degenerate degree n={n}; need n >= 1")
+        entries = basis_vector(n, np.arange(n + 1) / n)
+        entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
     @functools.cached_property
@@ -143,11 +141,7 @@ class BernsteinMatrix:
         return np.linalg.cond(self.entries[1 : self.n, 1 : self.n].T, 1)
 
 
-def _build_matrix(n: int) -> BernsteinMatrix:
-    return BernsteinMatrix(n, basis_vector(n, np.arange(n + 1) / n))
-
-
-_cached_matrix = functools.cache(_build_matrix)
+_cached_matrix = functools.cache(BernsteinMatrix)
 
 
 def bernstein_matrix(n: int) -> BernsteinMatrix:
@@ -157,6 +151,4 @@ def bernstein_matrix(n: int) -> BernsteinMatrix:
     are built on every call and never retained.
     """
     n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"degenerate degree n={n}; need n >= 1")
-    return _cached_matrix(n) if n <= _CACHED_DEGREE_MAX else _build_matrix(n)
+    return _cached_matrix(n) if n <= _CACHED_DEGREE_MAX else BernsteinMatrix(n)

@@ -133,9 +133,11 @@ def coefficients(
     force: bool = False,
     matrix: BernsteinMatrix | None = None,
 ) -> IterCoefficients:
-    """Dispatch on k: finite order runs the recurrence, INFINITY the solve."""
+    """Dispatch on k: a whole order runs the recurrence, INFINITY the solve."""
     if k == INFINITY:
         return limit_coefficients(samples, force=force, matrix=matrix)
+    if k != int(k):
+        raise ValueError(f"iteration order must be a whole number, got k={k}")
     return iterate_coefficients(samples, int(k), matrix=matrix)
 
 
@@ -158,11 +160,8 @@ def iterated_basis(n: int, i: int, k: int, t: float) -> float:
     return eval_iterated(iterate_coefficients(UniformSamples(n, values), k), t)
 
 
-def error_estimate(
-    samples: UniformSamples, k: int, t: float, matrix: BernsteinMatrix | None = None
-) -> float:
+def error_estimate(samples: UniformSamples, k: int, t: float) -> float:
     """Order-k minus order-(k+1) value at t, as F(k) - F(k+1) = F(k) B - F(1)."""
-    if matrix is None:
-        matrix = bernstein_matrix(samples.n)
+    matrix = bernstein_matrix(samples.n)
     fk = iterate_coefficients(samples, k, matrix=matrix).coeffs
     return (fk @ matrix.entries - samples.values) @ basis_vector(samples.n, t)

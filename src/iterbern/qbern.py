@@ -61,7 +61,7 @@ class QContext:
 
     q: float
     n: int
-    nodes: np.ndarray = field(default=None, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
     _row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -10,7 +10,7 @@ weights take arrays of points: the operator is the weights at the nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class SzaszContext:
     n: int
     x_max: float = 8.0
     tail_tol: float = 1e-12
-    M: int = 0
+    M: int = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -83,33 +83,32 @@ class SzaszContext:
             raise ValueError(f"tail_tol must be in (0, 1e-6], got {self.tail_tol}")
         if self.n * self.x_max > HARD_NODE_CAP:  # M >= n*x_max: reject before any tail
             raise ValueError(f"n*x_max={self.n * self.x_max} exceeds the cap {HARD_NODE_CAP}")
-        if self.M == 0:
-            m_tail = _truncation_index(self.n * self.x_max, self.tail_tol)
-            # Iteration lets the truncation defect at the top node diffuse
-            # downward by roughly a Poisson width per sweep; the buffer keeps
-            # that contamination below tail_tol on [0, x_max] for moderate k.
-            # An explicitly supplied M is honored literally, without buffer.
-            buffer = math.ceil(3.2 * math.sqrt(m_tail * math.log(1.0 / self.tail_tol)))
-            object.__setattr__(self, "M", m_tail + buffer)
-        elif self.M < math.ceil(self.n * self.x_max):
-            raise ValueError(
-                f"M={self.M} is below ceil(n*x_max)={math.ceil(self.n * self.x_max)}"
-            )
-        if self.M > HARD_NODE_CAP:
-            raise ValueError(f"M={self.M} exceeds the node cap {HARD_NODE_CAP}")
+        m_tail = _truncation_index(self.n * self.x_max, self.tail_tol)
+        # Iteration lets the truncation defect at the top node diffuse
+        # downward by roughly a Poisson width per sweep; the buffer keeps
+        # that contamination below tail_tol on [0, x_max] for moderate k.
+        m = m_tail + math.ceil(3.2 * math.sqrt(m_tail * math.log(1.0 / self.tail_tol)))
+        if m > HARD_NODE_CAP:
+            raise ValueError(f"M={m} exceeds the node cap {HARD_NODE_CAP}")
+        object.__setattr__(self, "M", m)
 
     @property
     def nodes(self) -> np.ndarray:
         return np.arange(self.M + 1) / self.n
 
     def partition_defect(self, x: float) -> float:
-        """Truncation defect at x: the Poisson tail mass above M, summed from the top.
+        """Truncation defect at x: the Poisson tail mass above M.
 
+        Summed from the top while n*x <= M; past M the tail is most of the
+        mass, so 1 - head is as accurate and cannot exceed 1.
         n*x is capped at HARD_NODE_CAP, as n*x_max is, which bounds the sum's length.
         """
-        if not 0 <= self.n * x <= HARD_NODE_CAP:  # also rejects NaN
+        mean = self.n * x
+        if not 0 <= mean <= HARD_NODE_CAP:  # also rejects NaN
             raise ValueError(f"x={x} outside [0, {HARD_NODE_CAP / self.n}]")
-        return float(_tail_masses(self.n * x, self.M)[self.M])
+        if mean > self.M:
+            return float(1.0 - np.sum(_poisson_vector(1, mean, self.M)))
+        return float(_tail_masses(mean, self.M)[self.M])
 
 
 def szasz_apply(fn, ctx: SzaszContext, x: float) -> float:

@@ -232,6 +232,19 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="a < b"):
             quadrature(math.exp, 1.0, 1.0, 4, 1)
 
+    def test_degree_checked_before_sampling(self):
+        def no_sample(x):
+            raise AssertionError("sampled at degree 0")
+
+        with pytest.raises(ValueError, match="positive, got n=0"):
+            quadrature(no_sample, 0.0, 1.0, 0, 1)
+
+    def test_fractional_order_rejected(self):
+        with pytest.raises(ValueError, match="k=2.5"):
+            quadrature(math.exp, 0.0, 1.0, 6, 2.5)
+        with pytest.raises(ValueError, match="k=2.5"):
+            derivative_eval(UniformSamples(6, np.arange(7) / 6), 2.5, 1, 0.3)
+
     def test_limit_mode_uses_solve(self):
         # infinity on a smooth integrand lands much closer than k=1
         exact = math.e - 1.0

@@ -230,12 +230,20 @@ class TestBernsteinMatrix:
             b[0, 0] = 2.0
         assert bernstein_matrix(n).entries[0, 0] == 1.0
 
-    def test_callers_array_stays_writable(self):
-        entries = np.eye(3)
-        matrix = BernsteinMatrix(2, entries)
-        assert entries.flags.writeable and not matrix.entries.flags.writeable
-        entries[0, 0] = 5.0
-        assert matrix.entries[0, 0] == 1.0
+    def test_entries_not_an_argument(self):
+        with pytest.raises(TypeError):
+            BernsteinMatrix(2, np.eye(3))
+
+    @pytest.mark.parametrize("n", [1, 5, 30, 129])
+    def test_built_from_degree(self, n):
+        matrix = BernsteinMatrix(n)
+        assert np.array_equal(matrix.entries, bernstein_matrix(n).entries)
+        assert not matrix.entries.flags.writeable
+
+    def test_equal_degrees_compare_and_hash_alike(self):
+        assert BernsteinMatrix(3) == bernstein_matrix(3)
+        assert hash(BernsteinMatrix(3)) == hash(bernstein_matrix(3))
+        assert BernsteinMatrix(3) != BernsteinMatrix(4)
 
     def test_cache_bounded(self):
         for n in range(1, 201):

@@ -175,7 +175,7 @@ class TestLimitCoefficients:
 
         monkeypatch.setattr(np.linalg, "cond", counted)
         n = 12
-        matrix = BernsteinMatrix(n, bernstein_matrix(n).entries)
+        matrix = BernsteinMatrix(n)
         samples = UniformSamples.from_function(math.exp, n)
         results = [limit_coefficients(samples, matrix=matrix).coeffs for _ in range(3)]
         assert len(calls) == 1
@@ -189,6 +189,17 @@ class TestLimitCoefficients:
             limit_coefficients(s)
         c = limit_coefficients(s, force=True)
         assert np.all(np.isfinite(c.coeffs))
+
+
+class TestCoefficientsOrder:
+    def test_fractional_order_rejected(self):
+        with pytest.raises(ValueError, match="k=2.5"):
+            coefficients(T2_N2, 2.5)
+
+    @pytest.mark.parametrize("k", [3, np.int64(3), 3.0])
+    def test_whole_orders_accepted(self, k):
+        want = iterate_coefficients(T2_N2, 3).coeffs
+        assert np.array_equal(coefficients(T2_N2, k).coeffs, want)
 
 
 class TestEvalIterated:
@@ -273,6 +284,10 @@ class TestErrorEstimate:
                 iterate_coefficients(s, k + 1), t
             )
             assert error_estimate(s, k, t) == pytest.approx(want, abs=1e-13)
+
+    def test_matrix_not_an_argument(self):
+        with pytest.raises(TypeError):
+            error_estimate(T2_N2, 1, 0.5, matrix=bernstein_matrix(2))
 
     def test_runs_the_recurrence_once(self, monkeypatch):
         orders = []

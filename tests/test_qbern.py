@@ -146,6 +146,16 @@ class TestQContext:
         for t in (0.0, 0.4, np.linspace(0, 1, 5)):
             _q_basis_vector(ctx, t)
 
+    def test_nodes_not_an_argument(self):
+        with pytest.raises(TypeError):
+            QContext(0.9, 4, nodes=np.linspace(0, 1, 5))
+
+    def test_equal_parameters_compare_and_hash_alike(self):
+        # the derived arrays take no part, so == no longer meets array truth values
+        assert QContext(0.9, 4) == QContext(0.9, 4)
+        assert hash(QContext(0.9, 4)) == hash(QContext(0.9, 4))
+        assert QContext(0.9, 4) != QContext(0.9, 5)
+
     def test_range_limits(self):
         with pytest.raises(ValueError, match="supported range"):
             QContext(1.6, 5)

@@ -94,12 +94,8 @@ class TestSzaszContext:
         for x in np.linspace(0, 5, 21):
             assert np.sum(_poisson_vector(6, x, ctx.M)) >= 1.0 - ctx.tail_tol
 
-    def test_explicit_m_honored(self):
-        ctx = SzaszContext(4, 8.0, 1e-14, M=80)
-        assert ctx.M == 80
-
-    def test_m_below_mean_rejected(self):
-        with pytest.raises(ValueError, match="below"):
+    def test_m_not_an_argument(self):
+        with pytest.raises(TypeError):
             SzaszContext(10, 8.0, 1e-12, M=50)
 
     def test_tail_tol_range(self):
@@ -129,6 +125,16 @@ class TestSzaszContext:
         monkeypatch.setattr(szasz, "_tail_masses", no_tail)
         with pytest.raises(ValueError, match=f"x={x} outside"):
             ctx.partition_defect(x)
+
+    def test_partition_defect_mean_far_above_m(self):
+        # the top-down sum of ~13000 pmf values gathered rounding past 1 here
+        mpmath = pytest.importorskip("mpmath")
+        ctx = SzaszContext(10)
+        got = ctx.partition_defect(1000.0)
+        with mpmath.workdps(50):
+            want = float(mpmath.gammainc(ctx.M + 1, 0, 10000, regularized=True))
+        assert got <= 1.0
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_partition_defect_at_node_cap(self):
         ctx = SzaszContext(10)
@@ -211,7 +217,8 @@ class TestSzaszIterated:
     def test_matches_double_summation_oracle(self):
         # brute-force closed form over iterated Poisson basis functions,
         # on the identical truncated index set
-        ctx = SzaszContext(4, 8.0, 1e-14, M=80)
+        ctx = SzaszContext(4, 8.0, 1e-14)
+        assert ctx.M == 251
         f = lambda x: 0.25 * x * math.exp(-x / 2.0)
         m, n = ctx.M, ctx.n
         op = np.empty((m + 1, m + 1))
@@ -247,5 +254,6 @@ class TestSzaszIterated:
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
 
     def test_node_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            SzaszContext(10, 8.0, 1e-12, M=60_000)
+        # n*x_max = 11000 passes its check; the derived M does not
+        with pytest.raises(ValueError, match="M=13570 exceeds the node cap"):
+            SzaszContext(1375, 8.0)
