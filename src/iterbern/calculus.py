@@ -78,13 +78,15 @@ def quadrature(g, a: float, b: float, n: int, k, force: bool = False) -> float:
 
     Samples f(t) = (b-a) * g(a + (b-a)t) at the uniform nodes, forms the
     order-k coefficients (k may be INFINITY) and returns their mean. Exact
-    for linear integrands at every order.
+    for linear integrands at every order. A scaled sample, coefficient or
+    sum past the float range raises FloatingPointError.
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
+    width = float(b) - float(a)
+    if not (a < b and math.isfinite(width)):
+        raise ValueError(f"need finite a < b, got a={a}, b={b} (width {width})")
     if n < 1:
         raise ValueError(f"degree must be positive, got n={n}")
-    width = b - a
-    values = width * _sample_nodes(g, a + width * (np.arange(n + 1) / n))
-    coeffs = coefficients(UniformSamples(n, values), k, force=force)
-    return float(np.sum(coeffs.coeffs)) / (n + 1)
+    with np.errstate(over="raise"):
+        values = width * _sample_nodes(g, a + width * (np.arange(n + 1) / n))
+        coeffs = coefficients(UniformSamples(n, values), k, force=force)
+        return float(np.sum(coeffs.coeffs)) / (n + 1)

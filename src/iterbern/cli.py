@@ -55,31 +55,61 @@ TABLE_K = (1, 5, INFINITY)
 # and the Szasz basis has M + 1 rows (359 at the defaults).
 GRID_BLOCK = 1024
 
+# Caps on --n (all but szasz, which has its node cap) and on --grid.
+MAX_DEGREE = 1100
+MAX_GRID = 10**6
 
-class UsageError(Exception):
-    pass
+
+class UsageError(argparse.ArgumentTypeError):
+    """Bad input: main prints one 'error:' line and returns 2. Raised by a
+    type= function, argparse prefixes the flag's name."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parse errors raise UsageError; subparsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def bounded_int(least: int, most: float = math.inf):
+    """type= for an integer flag in least..most."""
+    span = f">= {least}" if most == math.inf else f"in {least}..{most}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not least <= value <= most:
+            raise UsageError(f"expected an integer {span}, got {text!r}")
+        return value
+
+    return parse
+
+
+def parse_k(text: str):
+    """One iteration order: an integer in 1..MAX_ITERATIONS or 'inf'."""
+    return INFINITY if text.strip() == "inf" else bounded_int(1, MAX_ITERATIONS)(text)
 
 
 def parse_k_list(text: str) -> list:
     """Parse '1,2,3,inf' into iteration orders; 'inf' is the infinity token."""
     out = []
     for tok in text.split(","):
-        tok = tok.strip()
-        if tok == "inf":
-            k = INFINITY
-        else:
-            try:
-                k = int(tok)
-            except ValueError:
-                raise UsageError(f"bad k value {tok!r} (expected integer or 'inf')")
-            if not 1 <= k <= MAX_ITERATIONS:
-                raise UsageError(f"k must be in 1..{MAX_ITERATIONS}, got {k}")
+        k = parse_k(tok)
         if k in out:
-            raise UsageError(f"k={tok} given twice")
+            raise UsageError(f"k={tok.strip()} given twice")
         out.append(k)
-    if not out:
-        raise UsageError("empty k list")
     return out
+
+
+def finite_k_list(text: str) -> list:
+    """The --k list of a command that has no k = inf path."""
+    k_list = parse_k_list(text)
+    if INFINITY in k_list:
+        raise UsageError("finite k only; this command has no k=inf")
+    return k_list
 
 
 def k_label(k) -> str:
@@ -149,45 +179,24 @@ def write_grid_report(args, meta: dict, axis: str, grid, truth, prefix: str, col
     return 0
 
 
-def lookup_function(name: str):
-    """Registry function by name; an unknown name is a usage error."""
-    try:
-        return registry_lookup(name)
-    except KeyError as exc:
-        raise UsageError(str(exc))
-
-
-def finite_k_list(args) -> list:
-    """The --k list of a command that has no k = inf path."""
-    k_list = parse_k_list(args.k)
-    if INFINITY in k_list:
-        raise UsageError(f"{args.command} supports finite k only")
-    return k_list
-
-
 def resolve_function(args):
-    """Return (fn_or_None, samples) from --fn/--samples flags; a registry
-    function is sampled at degree --n."""
-    if args.fn and args.samples:
-        raise UsageError("--fn and --samples are mutually exclusive")
+    """Return (fn_or_None, samples) from the --fn or --samples flag; a
+    registry function is sampled at degree --n."""
     if args.fn:
-        fn = lookup_function(args.fn)
+        fn = registry_lookup(args.fn)
         return fn, UniformSamples.from_function(fn, args.n)
-    if args.samples:
-        return None, load_samples(args.samples)
-    raise UsageError("one of --fn or --samples is required")
+    return None, load_samples(args.samples)
 
 
 def cmd_approx(args) -> int:
     fn, samples = resolve_function(args)
-    k_list = parse_k_list(args.k)
     n = samples.n
     matrix = bernstein_matrix(n)
     columns = [
         (k, partial(eval_iterated, coefficients(samples, k, force=args.force, matrix=matrix)))
-        for k in k_list
+        for k in args.k
     ]
-    meta = {"n": n, "k": ",".join(map(k_label, k_list))}
+    meta = {"n": n, "k": ",".join(map(k_label, args.k))}
     grid = np.linspace(0.0, 1.0, args.grid)
     return write_grid_report(args, meta, "t", grid, fn, "approx", columns)
 
@@ -223,7 +232,6 @@ def cmd_table(args) -> int:
 
 def cmd_derivative(args) -> int:
     fn, samples = resolve_function(args)
-    k_list = finite_k_list(args)
     n = samples.n
     if args.r > n:
         raise UsageError(f"r={args.r} exceeds degree n={n}")
@@ -231,36 +239,32 @@ def cmd_derivative(args) -> int:
     matrix = bernstein_matrix(n)
     columns = [
         (k, partial(_derivative, coefficients(samples, k, matrix=matrix), args.r))
-        for k in k_list
+        for k in args.k
     ]
-    meta = {"n": n, "k": ",".join(map(k_label, k_list)), "r": args.r}
+    meta = {"n": n, "k": ",".join(map(k_label, args.k)), "r": args.r}
     grid = np.linspace(0.0, 1.0, args.grid)
     return write_grid_report(args, meta, "t", grid, truth, f"d{args.r}", columns)
 
 
 def cmd_integrate(args) -> int:
-    fn = lookup_function(args.fn)
-    k_list = parse_k_list(args.k)
-    if len(k_list) != 1:
-        raise UsageError("integrate takes a single k")
-    if not args.a < args.b:
-        raise UsageError(f"need a < b, got a={args.a}, b={args.b}")
-    value = quadrature(fn, args.a, args.b, args.n, k_list[0], force=args.force)
+    if not (args.a < args.b and math.isfinite(args.b - args.a)):
+        raise UsageError(f"need finite a < b, got a={args.a}, b={args.b}")
+    fn = registry_lookup(args.fn)
+    value = quadrature(fn, args.a, args.b, args.n, args.k, force=args.force)
     print(f"{value:.10g}")
     return 0
 
 
 def cmd_szasz(args) -> int:
-    fn = lookup_function(args.fn)
-    k_list = finite_k_list(args)
+    fn = registry_lookup(args.fn)
     try:
         ctx = SzaszContext(args.n, args.xmax, args.tail_tol)
     except ValueError as exc:
         raise UsageError(str(exc))
-    columns = [(k, partial(szasz_eval, ctx, szasz_coefficients(fn, ctx, k))) for k in k_list]
+    columns = [(k, partial(szasz_eval, ctx, szasz_coefficients(fn, ctx, k))) for k in args.k]
     meta = {
         "n": args.n,
-        "k": ",".join(map(k_label, k_list)),
+        "k": ",".join(map(k_label, args.k)),
         "x_max": args.xmax,
         "tail_tol": args.tail_tol,
         "M": ctx.M,
@@ -270,18 +274,17 @@ def cmd_szasz(args) -> int:
 
 
 def cmd_qbernstein(args) -> int:
-    fn = lookup_function(args.fn)
-    k_list = finite_k_list(args)
+    fn = registry_lookup(args.fn)
     try:
         ctx = QContext(args.q, args.n)
     except ValueError as exc:
         raise UsageError(str(exc))
     node_values = _sample_nodes(fn, ctx.nodes)
-    columns = [(k, partial(q_eval, ctx, q_coefficients(ctx, node_values, k))) for k in k_list]
+    columns = [(k, partial(q_eval, ctx, q_coefficients(ctx, node_values, k))) for k in args.k]
     meta = {
         "n": args.n,
         "q": args.q,
-        "k": ",".join(map(k_label, k_list)),
+        "k": ",".join(map(k_label, args.k)),
         "nodes": ",".join(repr(float(v)) for v in ctx.nodes),
     }
     grid = np.linspace(0.0, 1.0, args.grid)
@@ -289,24 +292,27 @@ def cmd_qbernstein(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iterbern",
         description="Iterated Bernstein polynomial approximation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    degree = bounded_int(1, MAX_DEGREE)
+    fn_flag = {"choices": registry_names(), "help": "registry function"}
 
-    def add_grid_flags(p, n_default, samples_ok=False):
-        p.add_argument("--fn", required=not samples_ok,
-                       help=f"function name ({', '.join(registry_names())})")
+    def add_grid_flags(p, n_default, samples_ok=False, k_type=finite_k_list, n_type=degree):
+        source = p.add_mutually_exclusive_group(required=True) if samples_ok else p
+        source.add_argument("--fn", required=not samples_ok, **fn_flag)
         if samples_ok:
-            p.add_argument("--samples", help="samples file (line 1: n, then f(i/n))")
-        p.add_argument("--n", type=int, default=n_default)
-        p.add_argument("--k", default="1", help="comma list of orders (approx also takes inf)")
-        p.add_argument("--grid", type=int, default=1001)
+            source.add_argument("--samples", help="samples file (line 1: n, then f(i/n))")
+        p.add_argument("--n", type=n_type, default=n_default)
+        p.add_argument("--k", type=k_type, default="1",
+                       help="comma list of orders (approx also takes inf)")
+        p.add_argument("--grid", type=bounded_int(1, MAX_GRID), default=1001)
         p.add_argument("--out", required=True)
 
     p = sub.add_parser("approx", help="evaluate iterated approximants on a grid")
-    add_grid_flags(p, 30, samples_ok=True)
+    add_grid_flags(p, 30, samples_ok=True, k_type=parse_k_list)
     p.add_argument("--force", action="store_true", help="override the k=inf degree cap")
     p.set_defaults(func=cmd_approx)
 
@@ -317,20 +323,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derivative", help="derivatives of iterated approximants")
     add_grid_flags(p, 30, samples_ok=True)
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--r", type=bounded_int(0), default=1)
     p.set_defaults(func=cmd_derivative)
 
     p = sub.add_parser("integrate", help="integral-free quadrature of a named function")
-    p.add_argument("--fn", required=True)
+    p.add_argument("--fn", required=True, **fn_flag)
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--k", default="1", help="single order, 'inf' allowed")
+    p.add_argument("--n", type=degree, default=10)
+    p.add_argument("--k", type=parse_k, default="1", help="single order, 'inf' allowed")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("szasz", help="iterated Szasz-Mirakyan approximants on a grid")
-    add_grid_flags(p, 10)
+    add_grid_flags(p, 10, n_type=bounded_int(1))
     p.add_argument("--xmax", type=float, default=8.0)
     p.add_argument("--tail-tol", type=float, default=1e-12, dest="tail_tol")
     p.set_defaults(func=cmd_szasz)
@@ -343,19 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def check_flags(args):
-    """Reject integer flag values below their minimum before any work starts."""
-    for flag, least in (("n", 1), ("grid", 1), ("r", 0)):
-        value = getattr(args, flag, None)
-        if value is not None and value < least:
-            raise UsageError(f"--{flag} must be >= {least}, got {value}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        check_flags(args)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

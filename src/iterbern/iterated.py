@@ -58,22 +58,23 @@ class IterCoefficients:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-def _iterate(f1: np.ndarray, build_matrix, k: int) -> np.ndarray:
+def _iterate(f1: np.ndarray, build_matrix, k) -> np.ndarray:
     """Order-k coefficients F(k) from node values f1 and a family's node matrix.
 
-    Runs exactly k - 1 steps of the recurrence, so order k means k.
-    build_matrix() is called only when k > 1, so order 1 costs no operator
-    build.
+    Runs exactly k - 1 steps of the recurrence, so order k means k; k is a
+    whole number in 1..MAX_ITERATIONS of any type (2.0 is order 2), and 2.5,
+    nan or inf raise ValueError. build_matrix() is called only when k > 1,
+    so order 1 costs no operator build.
     """
-    if k < 1:
-        raise ValueError(f"iteration order must be >= 1, got k={k}")
     if k > MAX_ITERATIONS:
         raise ValueError(f"k={k} exceeds the iteration cap {MAX_ITERATIONS}")
+    if not (k >= 1 and k == int(k)):
+        raise ValueError(f"iteration order must be a whole number >= 1, got k={k}")
     f = f1.copy()
     if k == 1:
         return f
     matrix = build_matrix()
-    for _ in range(k - 1):
+    for _ in range(int(k) - 1):
         f = f - f @ matrix + f1
     return f
 
@@ -136,9 +137,7 @@ def coefficients(
     """Dispatch on k: a whole order runs the recurrence, INFINITY the solve."""
     if k == INFINITY:
         return limit_coefficients(samples, force=force, matrix=matrix)
-    if k != int(k):
-        raise ValueError(f"iteration order must be a whole number, got k={k}")
-    return iterate_coefficients(samples, int(k), matrix=matrix)
+    return iterate_coefficients(samples, k, matrix=matrix)
 
 
 def eval_iterated(coeffs: IterCoefficients, t):

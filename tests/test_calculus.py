@@ -232,6 +232,17 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="a < b"):
             quadrature(math.exp, 1.0, 1.0, 4, 1)
 
+    def test_infinite_width_rejected(self):
+        # Both ends are finite, but b - a overflows.
+        with pytest.raises(ValueError, match="need finite a < b"):
+            quadrature(math.exp, -1e308, 1e308, 4, 1)
+
+    @pytest.mark.parametrize("g", [lambda x: 1.0, lambda x: x], ids=["sum", "scale"])
+    def test_overflow_raises(self, g):
+        # width * g(x) or the sum of the coefficients leaves the float range.
+        with pytest.raises(FloatingPointError, match="overflow"):
+            quadrature(g, 0.0, 1e308, 4, 1)
+
     def test_degree_checked_before_sampling(self):
         def no_sample(x):
             raise AssertionError("sampled at degree 0")

@@ -1,13 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iterbern
 from iterbern import cli, iterated
@@ -98,6 +104,21 @@ def test_approx_inf_above_cap_requires_force(tmp_path):
     rc = main(["approx", "--fn", "sin2pi", "--n", "40", "--k", "inf",
                "--grid", "11", "--out", str(out)])
     assert rc == 3
+
+
+def test_approx_inf_singular_with_force(tmp_path, capsys):
+    rc = main(["approx", "--fn", "sin2pi", "--n", "40", "--k", "inf", "--force",
+               "--grid", "11", "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("conditioning error: ") and err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["approx", "--help"])
+    assert info.value.code == 0
+    assert "--samples" in capsys.readouterr().out
 
 
 def test_approx_unwritable_output():
@@ -361,6 +382,17 @@ BAD_ARGV = [
     ["approx", "--fn", "sin2pi", "--k", "1000001", "--out", "OUT"],
     ["integrate", "--fn", "expx", "--k", "1000001"],
     ["approx", "--fn", "sin2pi", "--k", "1,1", "--out", "OUT"],
+    ["approx", "--fn", "sin2pi", "--n", "1101", "--out", "OUT"],
+    ["approx", "--fn", "sin2pi", "--grid", "1000001", "--out", "OUT"],
+    ["approx", "--fn", "sin2pi", "--n", "abc", "--out", "OUT"],
+    ["approx", "--fn", "sin2pi", "--grid", "1e3", "--out", "OUT"],
+    ["approx", "--fn", "sin2pi", "--out", "OUT", "extra"],
+    ["approx", "--fn", "sin2pi"],
+    ["table", "3"],
+    ["szasz", "--out", "OUT"],
+    ["derivative", "--fn", "sin2pi", "--k", "1,inf", "--out", "OUT"],
+    ["integrate", "--fn", "expx", "--k", "1,2"],
+    ["integrate", "--fn", "expx", "--a=-1e308", "--b", "1e308"],
 ]
 
 
@@ -375,6 +407,67 @@ def test_bad_value_is_usage_error(argv, tmp_path, capsys, recwarn):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not recwarn.list
     assert not out.exists()
+
+
+# Token pools for the argv property: a few valid values and the malformed or
+# out-of-range ones a user might type. Valid degrees and grids stay small.
+INT_TOKENS = ["1", "2", "4", "0", "-1", "abc", "1e3", "nan", "inf", "1e308", "-1e308", "1000001"]
+FLOAT_TOKENS = ["0", "0.5", "1", "2", "1e-9", "-1", "abc", "nan", "inf", "1e308", "-1e308"]
+FLAG_TOKENS = {
+    "fn": ["sin2pi", "one", "abshalf", "mystery"],
+    "samples": ["s.txt", "missing.txt"],
+    "n": INT_TOKENS, "grid": INT_TOKENS, "r": INT_TOKENS,
+    "k": ["1", "2", "1,2", "inf", "1,inf", "1,1", "0", "abc", "nan", "1e3", ""],
+    "a": FLOAT_TOKENS, "b": FLOAT_TOKENS, "xmax": FLOAT_TOKENS, "tail-tol": FLOAT_TOKENS,
+    "q": FLOAT_TOKENS,
+    "out": ["out.csv", "/nonexistent-dir/x.csv"],
+    "force": [None],
+}
+COMMAND_FLAGS = {
+    "approx": ["fn", "samples", "n", "k", "grid", "out", "force"],
+    "derivative": ["fn", "samples", "n", "k", "grid", "out", "r"],
+    "integrate": ["fn", "a", "b", "n", "k", "force"],
+    "szasz": ["fn", "n", "k", "grid", "out", "xmax", "tail-tol"],
+    "qbernstein": ["fn", "n", "k", "grid", "out", "q"],
+    "table": ["out"],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    if command == "table":
+        argv.append(draw(st.sampled_from(["1", "2", "3", "abc"])))
+    for flag in draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), unique=True)):
+        value = draw(st.sampled_from(FLAG_TOKENS[flag]))
+        argv.append(f"--{flag}" if value is None else f"--{flag}={value}")
+    return argv + draw(st.sampled_from([[], ["extra"], ["--bogus"]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_any_argv_ends_in_an_exit_code(argv):
+    # Whatever the argv, main returns a documented exit code, raises nothing
+    # (no SystemExit, no warning) and explains a failure in one stderr line.
+    # It runs in a fresh directory, where `table` writes its default output.
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("s.txt", "w") as fh:
+                fh.write("4\n0\n0.25\n0.5\n0.75\n1\n")
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                rc = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert rc in (0, 2, 3, 4)
+    assert not caught, [str(w.message) for w in caught]
+    if rc != 0:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
 @pytest.mark.parametrize("argv", [

@@ -73,6 +73,16 @@ class TestIterateCoefficients:
         with pytest.raises(ValueError, match="cap"):
             iterate_coefficients(T2_N2, 10**6 + 1)
 
+    @pytest.mark.parametrize("k", [2.0, np.int64(2)])
+    def test_whole_float_order(self, k):
+        want = iterate_coefficients(T2_N2, 2).coeffs
+        assert np.array_equal(iterate_coefficients(T2_N2, k).coeffs, want)
+
+    @pytest.mark.parametrize("k,match", [(2.5, "k=2.5"), (math.nan, ">= 1"), (math.inf, "cap")])
+    def test_non_whole_order_rejected(self, k, match):
+        with pytest.raises(ValueError, match=match):
+            iterate_coefficients(T2_N2, k)
+
     def test_order_commutes_with_scaling(self):
         # The recurrence is linear in the samples and runs k - 1 steps
         # whatever their scale, so tiny samples match their rescaled copy.
@@ -180,6 +190,14 @@ class TestLimitCoefficients:
         results = [limit_coefficients(samples, matrix=matrix).coeffs for _ in range(3)]
         assert len(calls) == 1
         assert all(np.array_equal(r, results[0]) for r in results)
+
+    def test_numerically_singular_interior_raises(self):
+        # Past the cap the interior node system loses all digits: at n = 40
+        # its condition estimate is about 2.1e16.
+        s = UniformSamples.from_function(math.sin, 40)
+        with pytest.raises(ConditioningError, match="singular") as info:
+            limit_coefficients(s, force=True)
+        assert 1e15 < info.value.condition_estimate < 1e18
 
     def test_cap_enforced_and_forceable(self):
         n = 31

@@ -237,6 +237,13 @@ class TestQApply:
 
 
 class TestQIterated:
+    def test_whole_float_order(self):
+        ctx = QContext(0.9, 6)
+        vals = np.sin(np.arange(7.0))
+        assert np.array_equal(q_coefficients(ctx, vals, 2.0), q_coefficients(ctx, vals, 2))
+        with pytest.raises(ValueError, match="k=2.5"):
+            q_coefficients(ctx, vals, 2.5)
+
     def test_k1_matches_apply(self):
         ctx = QContext(1.1, 6)
         vals = np.sin(np.arange(7.0))

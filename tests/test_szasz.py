@@ -188,6 +188,13 @@ class TestSzaszApply:
 
 
 class TestSzaszIterated:
+    def test_whole_float_order(self):
+        ctx = SzaszContext(5, 2.0)
+        want = szasz_coefficients(math.exp, ctx, 2)
+        assert np.array_equal(szasz_coefficients(math.exp, ctx, 2.0), want)
+        with pytest.raises(ValueError, match="k=2.5"):
+            szasz_coefficients(math.exp, ctx, 2.5)
+
     def test_k1_matches_apply(self):
         ctx = SzaszContext(5, x_max=4.0, tail_tol=1e-10)
         f = lambda u: math.exp(-u)
