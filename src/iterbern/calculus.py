@@ -40,12 +40,7 @@ def derivative_eval(samples: UniformSamples, k, r: int, t):
         raise ValueError(f"derivative order must be nonnegative, got r={r}")
     if r > n:
         raise ValueError(f"derivative order r={r} exceeds degree n={n}")
-    return _derivative(coefficients(samples, k), r, t)
-
-
-def _derivative(coeffs: IterCoefficients, r: int, t):
-    """r-th derivative, 0 <= r <= n, of the approximant with these coefficients at t."""
-    n, c = coeffs.n, coeffs.coeffs
+    c = coefficients(samples, k).coeffs
     return math.perm(n, r) * (np.diff(c, r) @ basis_vector(n - r, t))
 
 

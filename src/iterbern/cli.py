@@ -18,12 +18,13 @@ from functools import partial
 
 import numpy as np
 
-from .calculus import _derivative, quadrature
-from .core import ConditioningError, UniformSamples, _sample_nodes, bernstein_matrix
-from .iterated import INFINITY, MAX_ITERATIONS, coefficients, eval_iterated
+from .calculus import quadrature
+from .core import ConditioningError, UniformSamples, _sample_nodes
+from .core import basis_vector, bernstein_matrix
+from .iterated import INFINITY, MAX_ITERATIONS, coefficients
 from .functions import registry_lookup, registry_names
-from .qbern import QContext, q_coefficients, q_eval
-from .szasz import SzaszContext, szasz_coefficients, szasz_eval
+from .qbern import QContext, q_coefficients
+from .szasz import SzaszContext, szasz_coefficients
 
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
@@ -51,7 +52,7 @@ TABLE_GOLDEN = {
 TABLE_TOLERANCE = 5e-7
 TABLE_K = (1, 5, INFINITY)
 
-# Grid points per evaluation call. A call holds a (basis size) x block array,
+# Grid points per basis build. A build holds a (basis size) x block array,
 # and the Szasz basis has M + 1 rows (359 at the defaults).
 GRID_BLOCK = 1024
 
@@ -128,6 +129,8 @@ def load_samples(path: str) -> UniformSamples:
         raise UsageError(f"samples file {path} is empty")
     try:
         n = int(tokens[0])
+        if n > MAX_DEGREE:
+            raise UsageError(f"samples file {path}: degree n={n} exceeds {MAX_DEGREE}")
         values = [float(tok) for tok in tokens[1:]]
     except ValueError as exc:
         raise UsageError(f"samples file {path}: {exc}")
@@ -151,29 +154,32 @@ def write_csv(path: str, meta: dict, header: list, rows: list):
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
-def write_grid_report(args, meta: dict, axis: str, grid, truth, prefix: str, columns) -> int:
-    """Write a grid report to args.out: one CSV row per grid point holding
-    the point, then truth(point) when truth is given, then each column's
-    value and its error against truth.
+def write_grid_report(args, meta, axis, upper, truth, prefix, basis, rows, scale=1) -> int:
+    """Write a grid report to args.out: one CSV row per point of the args.grid
+    points on [0, upper], holding the point, then truth(point) when truth is
+    given, then each order's value and its error against truth.
 
     meta holds the '# key=value' lines that follow operation and function.
-    columns holds (k, evaluate) pairs, evaluate taking an array of points;
-    the value column of order k is <prefix>_k<k>, its error column err_k<k>.
+    rows holds (k, row) pairs; on each block of points, order k's values are
+    scale * (row @ basis(block)), in columns <prefix>_k<k> and err_k<k>.
     """
     source = args.fn or getattr(args, "samples", None)
     meta = {"operation": args.command, "function": source, **meta}
     has_truth = truth is not None
     header = [axis] + (["truth"] if has_truth else [])
-    for k, _ in columns:
+    for k, _ in rows:
         header += [f"{prefix}_k{k_label(k)}"] + ([f"err_k{k_label(k)}"] if has_truth else [])
+    grid = np.linspace(0.0, upper, args.grid)
+    values = np.empty((len(rows), len(grid)))
+    for i in range(0, len(grid), GRID_BLOCK):
+        block = basis(grid[i : i + GRID_BLOCK])
+        values[:, i : i + GRID_BLOCK] = [scale * (row @ block) for _, row in rows]
+        del block  # so that at most one block's basis is alive
     table = [grid]
     if has_truth:
         exact = np.array([float(truth(x)) for x in grid])
         table.append(exact)
-    for _, evaluate in columns:
-        v = np.concatenate(
-            [evaluate(grid[i : i + GRID_BLOCK]) for i in range(0, len(grid), GRID_BLOCK)]
-        )
+    for v in values:
         table += [v, v - exact] if has_truth else [v]
     write_csv(args.out, meta, header, np.column_stack(table).tolist())
     return 0
@@ -192,13 +198,10 @@ def cmd_approx(args) -> int:
     fn, samples = resolve_function(args)
     n = samples.n
     matrix = bernstein_matrix(n)
-    columns = [
-        (k, partial(eval_iterated, coefficients(samples, k, force=args.force, matrix=matrix)))
-        for k in args.k
-    ]
+    rows = [(k, coefficients(samples, k, force=args.force, matrix=matrix).coeffs) for k in args.k]
     meta = {"n": n, "k": ",".join(map(k_label, args.k))}
-    grid = np.linspace(0.0, 1.0, args.grid)
-    return write_grid_report(args, meta, "t", grid, fn, "approx", columns)
+    basis = partial(basis_vector, n)
+    return write_grid_report(args, meta, "t", 1.0, fn, "approx", basis, rows)
 
 
 def cmd_table(args) -> int:
@@ -237,13 +240,11 @@ def cmd_derivative(args) -> int:
         raise UsageError(f"r={args.r} exceeds degree n={n}")
     truth = fn.derivative if (fn is not None and args.r == 1) else None
     matrix = bernstein_matrix(n)
-    columns = [
-        (k, partial(_derivative, coefficients(samples, k, matrix=matrix), args.r))
-        for k in args.k
-    ]
+    # As in derivative_eval: r-th differences, times n!/(n - r)! after the product.
+    rows = [(k, np.diff(coefficients(samples, k, matrix=matrix).coeffs, args.r)) for k in args.k]
     meta = {"n": n, "k": ",".join(map(k_label, args.k)), "r": args.r}
-    grid = np.linspace(0.0, 1.0, args.grid)
-    return write_grid_report(args, meta, "t", grid, truth, f"d{args.r}", columns)
+    basis, scale = partial(basis_vector, n - args.r), math.perm(n, args.r)
+    return write_grid_report(args, meta, "t", 1.0, truth, f"d{args.r}", basis, rows, scale)
 
 
 def cmd_integrate(args) -> int:
@@ -261,7 +262,7 @@ def cmd_szasz(args) -> int:
         ctx = SzaszContext(args.n, args.xmax, args.tail_tol)
     except ValueError as exc:
         raise UsageError(str(exc))
-    columns = [(k, partial(szasz_eval, ctx, szasz_coefficients(fn, ctx, k))) for k in args.k]
+    rows = [(k, szasz_coefficients(fn, ctx, k)) for k in args.k]
     meta = {
         "n": args.n,
         "k": ",".join(map(k_label, args.k)),
@@ -269,8 +270,7 @@ def cmd_szasz(args) -> int:
         "tail_tol": args.tail_tol,
         "M": ctx.M,
     }
-    grid = np.linspace(0.0, args.xmax, args.grid)
-    return write_grid_report(args, meta, "x", grid, fn, "approx", columns)
+    return write_grid_report(args, meta, "x", args.xmax, fn, "approx", ctx.basis, rows)
 
 
 def cmd_qbernstein(args) -> int:
@@ -280,15 +280,14 @@ def cmd_qbernstein(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     node_values = _sample_nodes(fn, ctx.nodes)
-    columns = [(k, partial(q_eval, ctx, q_coefficients(ctx, node_values, k))) for k in args.k]
+    rows = [(k, q_coefficients(ctx, node_values, k)) for k in args.k]
     meta = {
         "n": args.n,
         "q": args.q,
         "k": ",".join(map(k_label, args.k)),
         "nodes": ",".join(repr(float(v)) for v in ctx.nodes),
     }
-    grid = np.linspace(0.0, 1.0, args.grid)
-    return write_grid_report(args, meta, "t", grid, fn, "approx", columns)
+    return write_grid_report(args, meta, "t", 1.0, fn, "approx", ctx.basis, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,15 +125,18 @@ class BernsteinMatrix:
     """
 
     n: int
-    entries: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = operator.index(self.n)
         if n < 1:
             raise ValueError(f"degenerate degree n={n}; need n >= 1")
-        entries = basis_vector(n, np.arange(n + 1) / n)
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        """The matrix itself, built on first use and kept."""
+        entries = basis_vector(self.n, np.arange(self.n + 1) / self.n)
         entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
+        return entries
 
     @functools.cached_property
     def _interior_condition(self) -> float:

@@ -4,9 +4,9 @@ The coefficient row vector of order k satisfies the recurrence
 F(k+1) = F(k)(I - B) + F(1) with F(1) the raw node samples, so that
 F(k) = F(1) (I + (I - B) + ... + (I - B)^(k-1)) (Kelisky & Rivlin). The
 recurrence is the same for every operator family; _iterate runs exactly
-k - 1 steps of it on any node matrix, and the Szasz-Mirakyan and q-Bernstein
-modules call it with theirs. The limit solves X B = F(1), which makes the
-limiting approximant interpolate the samples at the nodes; it is the only
+k - 1 steps of it on a BernsteinMatrix, SzaszContext or QContext, reading
+the node matrix from its entries. The limit solves X B = F(1), which makes
+the limiting approximant interpolate the samples at the nodes; it is the only
 path with a degree cap. The Bernstein and q-Bernstein operators reproduce
 the end-sample chord l, so each order is F(1) + (op(g) - g), g = F(1) - l.
 """
@@ -58,27 +58,27 @@ class IterCoefficients:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-def _iterate(f1: np.ndarray, build_matrix, k) -> np.ndarray:
-    """Order-k coefficients F(k) from node values f1 and a family's node matrix.
+@np.errstate(over="raise", invalid="raise")
+def _iterate(f1: np.ndarray, op, k) -> np.ndarray:
+    """Order-k coefficients F(k) from node values f1 and a family's operator op.
 
     Runs exactly k - 1 steps of the recurrence, so order k means k; k is a
     whole number in 1..MAX_ITERATIONS of any type (2.0 is order 2), and 2.5,
-    nan or inf raise ValueError. build_matrix() is called only when k > 1,
-    so order 1 costs no operator build.
+    nan or inf raise ValueError. Only a step reads op.entries, the node
+    matrix, so order 1 builds no operator. A step past the float range
+    raises FloatingPointError.
     """
     if k > MAX_ITERATIONS:
         raise ValueError(f"k={k} exceeds the iteration cap {MAX_ITERATIONS}")
     if not (k >= 1 and k == int(k)):
         raise ValueError(f"iteration order must be a whole number >= 1, got k={k}")
     f = f1.copy()
-    if k == 1:
-        return f
-    matrix = build_matrix()
     for _ in range(int(k) - 1):
-        f = f - f @ matrix + f1
+        f = f - f @ op.entries + f1
     return f
 
 
+@np.errstate(over="raise", invalid="raise")
 def _minus_chord(f1: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """f1 minus its end-sample chord; exactly 0 at both ends and for constant f1."""
     return (f1 - f1[0]) - (f1[-1] - f1[0]) * nodes
@@ -88,11 +88,9 @@ def iterate_coefficients(
     samples: UniformSamples, k: int, matrix: BernsteinMatrix | None = None
 ) -> IterCoefficients:
     """Coefficients of order k via the shared recurrence on the chord-free part."""
-    def build():
-        return (matrix if matrix is not None else bernstein_matrix(samples.n)).entries
-
+    op = matrix if matrix is not None else bernstein_matrix(samples.n)
     g = _minus_chord(samples.values, samples.nodes)
-    return IterCoefficients(samples.n, k, samples.values + (_iterate(g, build, k) - g))
+    return IterCoefficients(samples.n, k, samples.values + (_iterate(g, op, k) - g))
 
 
 def limit_coefficients(

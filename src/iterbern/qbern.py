@@ -13,6 +13,7 @@ The basis takes arrays of points: the operator is the basis at the q-nodes.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -79,29 +80,33 @@ class QContext:
         object.__setattr__(self, "nodes", qint / qint[self.n])
         object.__setattr__(self, "_row", _gaussian_row(self.n, self.q))
 
+    @np.errstate(over="raise")  # q > 1 overflow raises, as in the Gaussian row
+    def basis(self, t) -> np.ndarray:
+        """All n+1 q-Bernstein basis values at t, shape (n+1,) + shape(t).
+
+        Q_{ni}(t) = [n, i]_q t^i tail_{n-i}(t), where tail_m(t) = prod_{s < m}
+        (1 - q^s t) is one running product over s.
+        """
+        n, q = self.n, self.q
+        t = _checked_points("t", t, 1)
+        column = (n + 1,) + (1,) * t.ndim
+        row = self._row.reshape(column)
+        powers = np.arange(n + 1).reshape(column)
+        tail = np.cumprod(1.0 - q ** powers[:-1] * t, axis=0)
+        tail = np.concatenate((np.ones((1,) + t.shape), tail))
+        return row * t**powers * tail[::-1]
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        """The node matrix, the basis at the q-nodes, built on first use and kept."""
+        return self.basis(self.nodes)
+
 
 def q_basis(ctx: QContext, i: int, t: float) -> float:
     """q-Bernstein basis Q_{ni}(t) in product form."""
     if not 0 <= i <= ctx.n:
         raise ValueError(f"basis index i={i} outside 0..{ctx.n}")
-    return float(_q_basis_vector(ctx, t)[i])
-
-
-@np.errstate(over="raise")  # q > 1 overflow raises, as in the Gaussian row
-def _q_basis_vector(ctx: QContext, t) -> np.ndarray:
-    """All n+1 q-Bernstein basis values at t, shape (n+1,) + shape(t).
-
-    Q_{ni}(t) = [n, i]_q t^i tail_{n-i}(t), where tail_m(t) = prod_{s < m}
-    (1 - q^s t) is one running product over s.
-    """
-    n, q = ctx.n, ctx.q
-    t = _checked_points("t", t, 1)
-    column = (n + 1,) + (1,) * t.ndim
-    row = ctx._row.reshape(column)
-    powers = np.arange(n + 1).reshape(column)
-    tail = np.cumprod(1.0 - q ** powers[:-1] * t, axis=0)
-    tail = np.concatenate((np.ones((1,) + t.shape), tail))
-    return row * t**powers * tail[::-1]
+    return float(ctx.basis(t)[i])
 
 
 def q_apply(ctx: QContext, node_values, t: float) -> float:
@@ -112,8 +117,7 @@ def q_apply(ctx: QContext, node_values, t: float) -> float:
 def q_coefficients(ctx: QContext, node_values, k: int) -> np.ndarray:
     """Order-k coefficient vector for the iterated q-Bernstein polynomial.
 
-    The classical recurrence on the samples minus their chord, with the
-    operator matrix built from the q-basis evaluated at the q-nodes.
+    The classical recurrence on the samples minus their chord, with ctx.entries.
     """
     node_values = np.asarray(node_values, dtype=float)
     if node_values.shape != (ctx.n + 1,):
@@ -121,12 +125,12 @@ def q_coefficients(ctx: QContext, node_values, k: int) -> np.ndarray:
             f"expected {ctx.n + 1} node values, got shape {node_values.shape}"
         )
     g = _minus_chord(node_values, ctx.nodes)
-    return node_values + (_iterate(g, lambda: _q_basis_vector(ctx, ctx.nodes), k) - g)
+    return node_values + (_iterate(g, ctx, k) - g)
 
 
 def q_eval(ctx: QContext, coeffs, t):
     """Evaluate a q-basis coefficient vector at t, a point or a 1-d array."""
-    return np.asarray(coeffs) @ _q_basis_vector(ctx, t)
+    return np.asarray(coeffs) @ ctx.basis(t)
 
 
 def q_iterated(ctx: QContext, node_values, k: int, t: float) -> float:

@@ -9,6 +9,7 @@ weights take arrays of points: the operator is the weights at the nodes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -96,6 +97,15 @@ class SzaszContext:
     def nodes(self) -> np.ndarray:
         return np.arange(self.M + 1) / self.n
 
+    def basis(self, x) -> np.ndarray:
+        """The M + 1 Poisson weights at x, a point or an array in [0, x_max]."""
+        return _poisson_vector(self.n, _checked_points("x", x, self.x_max), self.M)
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        """The node matrix, the weights at all M + 1 nodes, built on first use and kept."""
+        return _poisson_vector(self.n, self.nodes, self.M)
+
     def partition_defect(self, x: float) -> float:
         """Truncation defect at x: the Poisson tail mass above M.
 
@@ -121,21 +131,17 @@ def szasz_apply(fn, ctx: SzaszContext, x: float) -> float:
 
 
 def szasz_coefficients(fn, ctx: SzaszContext, k: int) -> np.ndarray:
-    """Order-k node coefficients via the finite-matrix surrogate.
+    """Order-k node coefficients via the finite-matrix surrogate ctx.entries.
 
-    The operator matrix holds the Poisson weights evaluated at the
-    truncated nodes; the coefficients then come from the Bernstein
-    recurrence. Compute once, then evaluate with szasz_eval on a grid.
+    The coefficients come from the Bernstein recurrence. Compute once,
+    then evaluate with szasz_eval on a grid.
     """
-    return _iterate(
-        _sample_nodes(fn, ctx.nodes), lambda: _poisson_vector(ctx.n, ctx.nodes, ctx.M), k
-    )
+    return _iterate(_sample_nodes(fn, ctx.nodes), ctx, k)
 
 
 def szasz_eval(ctx: SzaszContext, coeffs: np.ndarray, x):
     """Evaluate a coefficient vector at x, a point or a 1-d array in [0, x_max]."""
-    x = _checked_points("x", x, ctx.x_max)
-    return np.asarray(coeffs) @ _poisson_vector(ctx.n, x, ctx.M)
+    return np.asarray(coeffs) @ ctx.basis(x)
 
 
 def szasz_iterated(fn, ctx: SzaszContext, k: int, x: float) -> float:

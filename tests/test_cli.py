@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import iterbern
-from iterbern import cli, iterated
+from iterbern import cli, core, iterated, szasz
 from iterbern.cli import main, parse_k_list
 from iterbern.iterated import INFINITY
 
@@ -368,6 +368,7 @@ BAD_ARGV = [
     ["approx", "--fn", "sin2pi", "--n", "0", "--out", "OUT"],
     ["approx", "--fn", "sin2pi", "--grid", "0", "--out", "OUT"],
     ["approx", "--samples", "DEGREE0", "--out", "OUT"],
+    ["approx", "--samples", "DEGREE1101", "--out", "OUT"],
     ["derivative", "--fn", "sin2pi", "--n", "0", "--out", "OUT"],
     ["derivative", "--fn", "sin2pi", "--r", "-1", "--out", "OUT"],
     ["integrate", "--fn", "expx", "--n", "0"],
@@ -401,7 +402,10 @@ def test_bad_value_is_usage_error(argv, tmp_path, capsys, recwarn):
     out = tmp_path / "x.csv"
     samples = tmp_path / "s.txt"
     samples.write_text("0\n1.0\n")
-    rc = main([{"OUT": str(out), "DEGREE0": str(samples)}.get(a, a) for a in argv])
+    above_cap = tmp_path / "big.txt"
+    above_cap.write_text("1101\n" + "0.5\n" * 1102)
+    files = {"OUT": str(out), "DEGREE0": str(samples), "DEGREE1101": str(above_cap)}
+    rc = main([files.get(a, a) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -503,6 +507,44 @@ def test_derivative_report_computes_each_order_once(tmp_path, monkeypatch):
     assert main(["derivative", "--fn", "sin2pi", "--n", "9", "--k", "1,3",
                  "--grid", str(2 * cli.GRID_BLOCK + 3), "--out", str(tmp_path / "d.csv")]) == 0
     assert orders == [1, 3]
+
+
+@pytest.mark.parametrize("k", ["1", "1,2"])
+def test_samples_past_float_range_are_one_numeric_error(k, tmp_path, capsys, recwarn):
+    samples = tmp_path / "s.txt"
+    samples.write_text("4\n1e308\n-1e308\n1e308\n-1e308\n1e308\n")
+    out = tmp_path / "x.csv"
+    assert main(["approx", "--samples", str(samples), "--k", k, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and err.count("\n") == 1
+    assert not recwarn.list
+    assert not out.exists()
+
+
+def test_order_one_report_builds_no_node_matrix(tmp_path, monkeypatch):
+    def unbuilt(matrix):
+        raise AssertionError(f"node matrix of degree {matrix.n} built")
+
+    monkeypatch.setattr(core.BernsteinMatrix, "entries", property(unbuilt))
+    assert main(["approx", "--fn", "sin2pi", "--n", "200", "--k", "1", "--grid", "11",
+                 "--out", str(tmp_path / "a.csv")]) == 0
+
+
+def test_szasz_report_builds_operator_once_and_one_basis_per_block(tmp_path, monkeypatch):
+    shapes = []
+    vector = szasz._poisson_vector
+
+    def counted(n, x, m):
+        shapes.append(np.shape(x))
+        return vector(n, x, m)
+
+    m = szasz.SzaszContext(10).M
+    monkeypatch.setattr(szasz, "_poisson_vector", counted)
+    points = 2 * cli.GRID_BLOCK + 3
+    assert main(["szasz", "--fn", "chi4", "--n", "10", "--k", "1,2,3", "--grid", str(points),
+                 "--out", str(tmp_path / "sz.csv")]) == 0
+    blocks = [(cli.GRID_BLOCK,), (cli.GRID_BLOCK,), (3,)]
+    assert [s for s in shapes if s] == [(m + 1,)] + blocks
 
 
 def test_derivative_of_order_n(tmp_path):

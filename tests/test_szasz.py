@@ -94,6 +94,12 @@ class TestSzaszContext:
         for x in np.linspace(0, 5, 21):
             assert np.sum(_poisson_vector(6, x, ctx.M)) >= 1.0 - ctx.tail_tol
 
+    def test_operator_built_on_first_use_and_kept(self):
+        ctx = SzaszContext(10)
+        assert "entries" not in vars(ctx)
+        assert np.array_equal(ctx.entries, _poisson_vector(ctx.n, ctx.nodes, ctx.M))
+        assert ctx.entries is ctx.entries
+
     def test_m_not_an_argument(self):
         with pytest.raises(TypeError):
             SzaszContext(10, 8.0, 1e-12, M=50)
@@ -210,6 +216,27 @@ class TestSzaszIterated:
                 assert szasz_iterated(lambda u: u, ctx, k, x) == pytest.approx(
                     x, abs=10 * ctx.tail_tol
                 )
+
+    @pytest.mark.parametrize("n", [10, 30])
+    def test_order_k_reproduces_degree_k(self, n):
+        # I - S_n lowers a polynomial's degree by one and kills degree 1, so
+        # order k reproduces degree d <= k, up to truncation, and misses at k = d - 1.
+        ctx = SzaszContext(n)
+        x = np.linspace(0, 8, 33)
+        for d in range(6):
+            f = lambda u: (u / 8) ** d
+            for k in range(max(d, 1), 7):
+                got = szasz_eval(ctx, szasz_coefficients(f, ctx, k), x)
+                np.testing.assert_allclose(got, (x / 8) ** d, rtol=0, atol=1.4e-13)
+            if d >= 2:
+                got = szasz_eval(ctx, szasz_coefficients(f, ctx, d - 1), x)
+                assert np.max(np.abs(got - (x / 8) ** d)) > 1e-8
+
+    def test_overflow_raises(self):
+        ctx = SzaszContext(1, x_max=1.0)
+        f = lambda u: 1e308 if round(u) % 2 == 0 else -1e308
+        with pytest.raises(FloatingPointError, match="overflow"):
+            szasz_coefficients(f, ctx, 2)
 
     def test_iteration_improves_smooth_target(self):
         ctx = SzaszContext(10)
