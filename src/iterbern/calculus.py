@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import UniformSamples, _sample_nodes, basis_vector
+from .core import ArgumentError, UniformSamples, _degree, _index, _sample_nodes, basis_vector
 from .iterated import IterCoefficients, coefficients
 
 
@@ -20,9 +20,9 @@ def forward_difference(values, r: int, i: int) -> float:
     """r-th forward difference of a sample vector at index i."""
     values = np.asarray(values, dtype=float)
     if r < 0:
-        raise ValueError(f"difference order must be nonnegative, got r={r}")
+        raise ArgumentError(f"difference order must be nonnegative, got r={r}")
     if i < 0 or i + r >= len(values):
-        raise ValueError(
+        raise ArgumentError(
             f"difference window [{i}, {i + r}] exceeds {len(values) - 1}"
         )
     return float(np.diff(values[i : i + r + 1], r)[0])
@@ -37,9 +37,9 @@ def derivative_eval(samples: UniformSamples, k, r: int, t):
     """
     n = samples.n
     if r < 0:
-        raise ValueError(f"derivative order must be nonnegative, got r={r}")
+        raise ArgumentError(f"derivative order must be nonnegative, got r={r}")
     if r > n:
-        raise ValueError(f"derivative order r={r} exceeds degree n={n}")
+        raise ArgumentError(f"derivative order r={r} exceeds degree n={n}")
     c = coefficients(samples, k).coeffs
     return math.perm(n, r) * (np.diff(c, r) @ basis_vector(n - r, t))
 
@@ -58,8 +58,7 @@ def basis_integral_vector(n: int, x) -> np.ndarray:
 
 def basis_integral(n: int, i: int, x: float) -> float:
     """S_ni(x), the integral of the basis polynomial B_ni from 0 to x."""
-    if not 0 <= i <= n:
-        raise ValueError(f"basis index i={i} outside 0..{n}")
+    i = _index(i, n)
     return float(basis_integral_vector(n, x)[i])
 
 
@@ -78,9 +77,8 @@ def quadrature(g, a: float, b: float, n: int, k, force: bool = False) -> float:
     """
     width = float(b) - float(a)
     if not (a < b and math.isfinite(width)):
-        raise ValueError(f"need finite a < b, got a={a}, b={b} (width {width})")
-    if n < 1:
-        raise ValueError(f"degree must be positive, got n={n}")
+        raise ArgumentError(f"need finite a < b, got a={a}, b={b} (width {width})")
+    n = _degree(n)
     with np.errstate(over="raise"):
         values = width * _sample_nodes(g, a + width * (np.arange(n + 1) / n))
         coeffs = coefficients(UniformSamples(n, values), k, force=force)

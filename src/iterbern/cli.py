@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .calculus import quadrature
-from .core import ConditioningError, UniformSamples, _sample_nodes
+from .core import ArgumentError, ConditioningError, UniformSamples, _sample_nodes
 from .core import basis_vector, bernstein_matrix
 from .iterated import INFINITY, MAX_ITERATIONS, coefficients
 from .functions import registry_lookup, registry_names
@@ -61,8 +61,9 @@ MAX_DEGREE = 1100
 MAX_GRID = 10**6
 
 
-class UsageError(argparse.ArgumentTypeError):
-    """Bad input: main prints one 'error:' line and returns 2. Raised by a
+class UsageError(ArgumentError, argparse.ArgumentTypeError):
+    """Bad input: main prints one 'error:' line and returns 2, as for any
+    library ArgumentError (not argparse's own ArgumentError). Raised by a
     type= function, argparse prefixes the flag's name."""
 
 
@@ -130,16 +131,8 @@ def load_samples(path: str) -> UniformSamples:
     try:
         n = int(tokens[0])
         if n > MAX_DEGREE:
-            raise UsageError(f"samples file {path}: degree n={n} exceeds {MAX_DEGREE}")
-        values = [float(tok) for tok in tokens[1:]]
-    except ValueError as exc:
-        raise UsageError(f"samples file {path}: {exc}")
-    if len(values) != n + 1:
-        raise UsageError(
-            f"samples file {path}: expected {n + 1} values for n={n}, got {len(values)}"
-        )
-    try:
-        return UniformSamples(n, np.array(values))
+            raise UsageError(f"degree n={n} exceeds {MAX_DEGREE}")
+        return UniformSamples(n, np.array([float(tok) for tok in tokens[1:]]))
     except ValueError as exc:
         raise UsageError(f"samples file {path}: {exc}")
 
@@ -248,8 +241,6 @@ def cmd_derivative(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    if not (args.a < args.b and math.isfinite(args.b - args.a)):
-        raise UsageError(f"need finite a < b, got a={args.a}, b={args.b}")
     fn = registry_lookup(args.fn)
     value = quadrature(fn, args.a, args.b, args.n, args.k, force=args.force)
     print(f"{value:.10g}")
@@ -258,10 +249,7 @@ def cmd_integrate(args) -> int:
 
 def cmd_szasz(args) -> int:
     fn = registry_lookup(args.fn)
-    try:
-        ctx = SzaszContext(args.n, args.xmax, args.tail_tol)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    ctx = SzaszContext(args.n, args.xmax, args.tail_tol)
     rows = [(k, szasz_coefficients(fn, ctx, k)) for k in args.k]
     meta = {
         "n": args.n,
@@ -275,10 +263,7 @@ def cmd_szasz(args) -> int:
 
 def cmd_qbernstein(args) -> int:
     fn = registry_lookup(args.fn)
-    try:
-        ctx = QContext(args.q, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    ctx = QContext(args.q, args.n)
     node_values = _sample_nodes(fn, ctx.nodes)
     rows = [(k, q_coefficients(ctx, node_values, k)) for k in args.k]
     meta = {
@@ -352,7 +337,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConditioningError as exc:

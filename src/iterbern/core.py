@@ -20,6 +20,10 @@ import numpy as np
 _CACHED_DEGREE_MAX = 128
 
 
+class ArgumentError(ValueError):
+    """An argument outside its documented domain; the CLI exits 2 for it."""
+
+
 class ConditioningError(ValueError):
     """Linear solve rejected because the system is too ill-conditioned."""
 
@@ -28,12 +32,38 @@ class ConditioningError(ValueError):
         self.condition_estimate = condition_estimate
 
 
+def _degree(n, least: int = 1) -> int:
+    """n as an int (operator.index: 5.0 raises TypeError), checked to be >= least, 0 or 1."""
+    n = operator.index(n)
+    if n < least:
+        raise ArgumentError(f"degree must be {'positive' if least else 'nonnegative'}, got n={n}")
+    return n
+
+
+def _index(i, n: int) -> int:
+    """i as an int, after checking that it is a basis index 0..n."""
+    i = operator.index(i)
+    if not 0 <= i <= n:
+        raise ArgumentError(f"basis index i={i} outside 0..{n}")
+    return i
+
+
+def _node_vector(values, n: int, what: str) -> np.ndarray:
+    """values as a float array, after checking its shape (n + 1,) and that it is finite."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n + 1,):
+        raise ArgumentError(f"expected {n + 1} {what}, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ArgumentError(f"{what} must all be finite")
+    return values
+
+
 def binomial(n: int, i: int) -> float:
     """Binomial coefficient C(n, i) as a float, correctly rounded."""
     if i < 0 or n < 0:
-        raise ValueError(f"binomial requires nonnegative arguments, got ({n}, {i})")
+        raise ArgumentError(f"binomial requires nonnegative arguments, got ({n}, {i})")
     if i > n:
-        raise ValueError(f"binomial index i={i} exceeds n={n}")
+        raise ArgumentError(f"binomial index i={i} exceeds n={n}")
     return float(math.comb(n, i))
 
 
@@ -42,7 +72,7 @@ def _checked_points(name: str, x, upper) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     inside = (0.0 <= x) & (x <= upper)
     if not inside.all():
-        raise ValueError(f"{name}={x[~inside][0]} outside [0, {upper}]")
+        raise ArgumentError(f"{name}={x[~inside][0]} outside [0, {upper}]")
     return x
 
 
@@ -66,8 +96,7 @@ def basis_vector(n: int, t) -> np.ndarray:
     near the endpoints; at t = 0 and t = 1 the result is an exact unit
     vector (0**0 counts as 1).
     """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got n={n}")
+    n = _degree(n, 0)
     t = _checked_points("t", t, 1)
     b = np.zeros((n + 1,) + t.shape)
     b[0] = 1.0
@@ -80,8 +109,7 @@ def basis_vector(n: int, t) -> np.ndarray:
 
 def basis_eval(n: int, i: int, t: float) -> float:
     """Single Bernstein basis polynomial B_{ni}(t)."""
-    if not 0 <= i <= n:
-        raise ValueError(f"basis index i={i} outside 0..{n}")
+    i = _index(i, n)
     return float(basis_vector(n, t)[i])
 
 
@@ -93,22 +121,12 @@ class UniformSamples:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"degree must be positive, got n={self.n}")
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.n + 1,):
-            raise ValueError(
-                f"expected {self.n + 1} sample values, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sample values must all be finite")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "n", _degree(self.n))
+        object.__setattr__(self, "values", _node_vector(self.values, self.n, "sample values"))
 
     @classmethod
     def from_function(cls, fn, n: int) -> "UniformSamples":
-        if n < 1:
-            raise ValueError(f"degree must be positive, got n={n}")
-        return cls(n, _sample_nodes(fn, np.arange(n + 1) / n))
+        return cls(n, _sample_nodes(fn, np.arange(_degree(n) + 1) / n))
 
     @property
     def nodes(self) -> np.ndarray:
@@ -127,9 +145,7 @@ class BernsteinMatrix:
     n: int
 
     def __post_init__(self):
-        n = operator.index(self.n)
-        if n < 1:
-            raise ValueError(f"degenerate degree n={n}; need n >= 1")
+        object.__setattr__(self, "n", _degree(self.n))
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
@@ -153,5 +169,5 @@ def bernstein_matrix(n: int) -> BernsteinMatrix:
     Degrees up to _CACHED_DEGREE_MAX are built once and shared; higher ones
     are built on every call and never retained.
     """
-    n = operator.index(n)
+    n = _degree(n)
     return _cached_matrix(n) if n <= _CACHED_DEGREE_MAX else BernsteinMatrix(n)

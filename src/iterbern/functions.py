@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import ArgumentError
+
 
 @dataclass(frozen=True)
 class NamedFunction:
@@ -49,14 +51,14 @@ def build_example8(r: float, delta: float) -> NamedFunction:
     the center below the arc and is rejected.
     """
     if r <= 0 or delta <= 0:
-        raise ValueError("need r > 0 and delta > 0")
+        raise ArgumentError("need r > 0 and delta > 0")
     t_d = 2.0 / 3.0 - delta
     disc = 900.0 * t_d**2 - 40.0 * (25.0 * t_d**2 - r**2)
     if disc < 0:
-        raise ValueError(f"negative discriminant {disc}; radius r={r} too small")
+        raise ArgumentError(f"negative discriminant {disc}; radius r={r} too small")
     v = (-30.0 * t_d + math.sqrt(disc)) / 20.0
     if v <= 0:
-        raise ValueError(f"center height v={v} not positive; radius r={r} too small")
+        raise ArgumentError(f"center height v={v} not positive; radius r={r} too small")
     u = math.sqrt(r**2 - v**2)
 
     def f0(t):
@@ -80,7 +82,7 @@ def build_example8(r: float, delta: float) -> NamedFunction:
     )
     rhs = np.array([0.0, f0(t_d), f0_d1(t_d), f0_d2(t_d)])
     if abs(np.linalg.det(system)) < 1e-12:
-        raise ValueError("cubic matching system is singular")
+        raise ArgumentError("cubic matching system is singular")
     a = np.linalg.solve(system, rhs)
 
     def fn(t):
@@ -107,7 +109,7 @@ _REGISTRY: dict[str, NamedFunction] = {}
 
 def _register(nf: NamedFunction):
     if nf.name in _REGISTRY:
-        raise ValueError(f"duplicate function name {nf.name!r}")
+        raise ArgumentError(f"duplicate function name {nf.name!r}")
     _REGISTRY[nf.name] = nf
 
 

@@ -19,9 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    ArgumentError,
     BernsteinMatrix,
     ConditioningError,
     UniformSamples,
+    _degree,
+    _index,
+    _node_vector,
     basis_vector,
     bernstein_matrix,
 )
@@ -50,12 +54,8 @@ class IterCoefficients:
     residual: float | None = None
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.shape != (self.n + 1,):
-            raise ValueError(f"expected {self.n + 1} coefficients, got {coeffs.shape}")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "n", _degree(self.n, 0))
+        object.__setattr__(self, "coeffs", _node_vector(self.coeffs, self.n, "coefficients"))
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -64,14 +64,14 @@ def _iterate(f1: np.ndarray, op, k) -> np.ndarray:
 
     Runs exactly k - 1 steps of the recurrence, so order k means k; k is a
     whole number in 1..MAX_ITERATIONS of any type (2.0 is order 2), and 2.5,
-    nan or inf raise ValueError. Only a step reads op.entries, the node
+    nan or inf raise ArgumentError. Only a step reads op.entries, the node
     matrix, so order 1 builds no operator. A step past the float range
     raises FloatingPointError.
     """
     if k > MAX_ITERATIONS:
-        raise ValueError(f"k={k} exceeds the iteration cap {MAX_ITERATIONS}")
+        raise ArgumentError(f"k={k} exceeds the iteration cap {MAX_ITERATIONS}")
     if not (k >= 1 and k == int(k)):
-        raise ValueError(f"iteration order must be a whole number >= 1, got k={k}")
+        raise ArgumentError(f"iteration order must be a whole number >= 1, got k={k}")
     f = f1.copy()
     for _ in range(int(k) - 1):
         f = f - f @ op.entries + f1
@@ -93,6 +93,7 @@ def iterate_coefficients(
     return IterCoefficients(samples.n, k, samples.values + (_iterate(g, op, k) - g))
 
 
+@np.errstate(over="raise", invalid="raise")
 def limit_coefficients(
     samples: UniformSamples, force: bool = False, matrix: BernsteinMatrix | None = None
 ) -> IterCoefficients:
@@ -101,6 +102,7 @@ def limit_coefficients(
     The chord-free part g vanishes at both end nodes and the endpoint
     columns of B are unit vectors, so only the interior system Y B = g is
     solved; endpoint interpolation stays exact regardless of conditioning.
+    A solution or residual past the float range raises FloatingPointError.
     """
     n = samples.n
     if n > LIMIT_DEGREE_CAP and not force:
@@ -121,7 +123,10 @@ def limit_coefficients(
                 f"node-evaluation system is numerically singular (cond ~ {cond:.3e})",
                 condition_estimate=float(cond),
             )
-        x[1:n] += np.linalg.solve(b[1:n, 1:n].T, g[1:n]) - g[1:n]
+        y = np.linalg.solve(b[1:n, 1:n].T, g[1:n])
+        if not np.isfinite(y).all():  # the solve itself ignores overflow
+            raise FloatingPointError("overflow encountered in the k=inf solve")
+        x[1:n] += y - g[1:n]
     residual = float(np.max(np.abs(x @ b - f1)))
     return IterCoefficients(n, INFINITY, x, residual=residual)
 
@@ -150,8 +155,7 @@ def bernstein_apply(samples: UniformSamples, t: float) -> float:
 
 def iterated_basis(n: int, i: int, k: int, t: float) -> float:
     """Iterated basis polynomial: order-k image of the node-i indicator."""
-    if not 0 <= i <= n:
-        raise ValueError(f"basis index i={i} outside 0..{n}")
+    i = _index(i, n)
     values = np.zeros(n + 1)
     values[i] = 1.0
     return eval_iterated(iterate_coefficients(UniformSamples(n, values), k), t)

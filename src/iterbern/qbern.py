@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _checked_points
+from .core import ArgumentError, _checked_points, _degree, _index, _node_vector
 from .iterated import _iterate, _minus_chord
 
 Q_MAX = 1.5
@@ -31,7 +31,7 @@ Q_WARN = 1.3
 def q_number(x, q: float):
     """The q-number [x]_q = (1 - q^x) / (1 - q), with [x]_1 = x; x may be an array."""
     if q <= 0:
-        raise ValueError(f"q must be positive, got q={q}")
+        raise ArgumentError(f"q must be positive, got q={q}")
     if q == 1.0:  # the limit, where the quotient below is 0/0
         return np.array(x, dtype=float)[()]
     log_q = math.log1p(q - 1.0)
@@ -39,21 +39,19 @@ def q_number(x, q: float):
 
 
 @np.errstate(over="raise")  # a row past the float range raises, never yields NaN bases
-def _gaussian_row(n: int, q: float) -> np.ndarray:
-    """[n, r]_q for r = 0..n: the running product of [n - r + 1]_q / [r]_q."""
-    qint = q_number(np.arange(n + 1), q)
+def _gaussian_row(n: int, q: float, qint: np.ndarray | None = None) -> np.ndarray:
+    """[n, r]_q for r = 0..n: the running product of [n - r + 1]_q / [r]_q,
+    from the q-integers qint = [0..n]_q, computed here unless given."""
+    if qint is None:
+        qint = q_number(np.arange(n + 1), q)
     return np.concatenate(([1.0], np.cumprod(qint[:0:-1] / qint[1:])))
 
 
 def q_binomial(n: int, r: int, q: float) -> float:
     """Gaussian binomial coefficient [n, r]_q, read off the Gaussian row; 0 outside 0..n."""
-    if q <= 0:
-        raise ValueError(f"q must be positive, got q={q}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got n={n}")
-    if r < 0 or r > n:
-        return 0.0
-    return float(_gaussian_row(n, q)[r])
+    n = _degree(n, 0)
+    row = _gaussian_row(n, q)  # q_number checks q, also for r outside 0..n
+    return float(row[r]) if 0 <= r <= n else 0.0
 
 
 @dataclass(frozen=True)
@@ -67,18 +65,17 @@ class QContext:
 
     def __post_init__(self):
         if not 0 < self.q <= Q_MAX:  # also rejects NaN
-            raise ValueError(f"q={self.q} outside the supported range (0, {Q_MAX}]")
+            raise ArgumentError(f"q={self.q} outside the supported range (0, {Q_MAX}]")
         if self.q > Q_WARN:
             warnings.warn(
                 f"q={self.q} > {Q_WARN}: approximation near t=1 degrades rapidly",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        if self.n < 1:
-            raise ValueError(f"degree must be positive, got n={self.n}")
+        object.__setattr__(self, "n", _degree(self.n))
         qint = q_number(np.arange(self.n + 1), self.q)
         object.__setattr__(self, "nodes", qint / qint[self.n])
-        object.__setattr__(self, "_row", _gaussian_row(self.n, self.q))
+        object.__setattr__(self, "_row", _gaussian_row(self.n, self.q, qint))
 
     @np.errstate(over="raise")  # q > 1 overflow raises, as in the Gaussian row
     def basis(self, t) -> np.ndarray:
@@ -104,8 +101,7 @@ class QContext:
 
 def q_basis(ctx: QContext, i: int, t: float) -> float:
     """q-Bernstein basis Q_{ni}(t) in product form."""
-    if not 0 <= i <= ctx.n:
-        raise ValueError(f"basis index i={i} outside 0..{ctx.n}")
+    i = _index(i, ctx.n)
     return float(ctx.basis(t)[i])
 
 
@@ -119,11 +115,7 @@ def q_coefficients(ctx: QContext, node_values, k: int) -> np.ndarray:
 
     The classical recurrence on the samples minus their chord, with ctx.entries.
     """
-    node_values = np.asarray(node_values, dtype=float)
-    if node_values.shape != (ctx.n + 1,):
-        raise ValueError(
-            f"expected {ctx.n + 1} node values, got shape {node_values.shape}"
-        )
+    node_values = _node_vector(node_values, ctx.n, "node values")
     g = _minus_chord(node_values, ctx.nodes)
     return node_values + (_iterate(g, ctx, k) - g)
 

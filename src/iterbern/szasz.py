@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _checked_points, _sample_nodes
+from .core import ArgumentError, _checked_points, _sample_nodes
 from .iterated import _iterate
 
 # Most nodes a context may hold: the dense operator on them stays below 1 GiB.
@@ -25,9 +25,9 @@ HARD_NODE_CAP = 11_000
 def poisson_basis(n: int, i: int, x: float) -> float:
     """Poisson weight e^{-nx} (nx)^i / i!, computed in log space at index i alone."""
     if not 0 <= x < math.inf:  # also rejects NaN
-        raise ValueError(f"x={x} outside [0, inf)")
+        raise ArgumentError(f"x={x} outside [0, inf)")
     if i < 0:
-        raise ValueError(f"index must be nonnegative, got i={i}")
+        raise ArgumentError(f"index must be nonnegative, got i={i}")
     return float(_poisson_vector(n, x, i, start=i)[0])
 
 
@@ -62,7 +62,7 @@ def _truncation_index(mean: float, tail_tol: float) -> int:
     start = math.ceil(mean)
     below = np.flatnonzero(_tail_masses(mean, start)[start:] < tail_tol)
     if below.size == 0:
-        raise ValueError(f"could not reach tail mass {tail_tol} at mean {mean}")
+        raise ArgumentError(f"could not reach tail mass {tail_tol} at mean {mean}")
     return start + int(below[0])
 
 
@@ -77,20 +77,20 @@ class SzaszContext:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"rate scale must be positive, got n={self.n}")
+            raise ArgumentError(f"rate scale must be positive, got n={self.n}")
         if not 0 < self.x_max < math.inf:  # also rejects NaN
-            raise ValueError(f"x_max must be positive and finite, got {self.x_max}")
+            raise ArgumentError(f"x_max must be positive and finite, got {self.x_max}")
         if not 0 < self.tail_tol <= 1e-6:
-            raise ValueError(f"tail_tol must be in (0, 1e-6], got {self.tail_tol}")
+            raise ArgumentError(f"tail_tol must be in (0, 1e-6], got {self.tail_tol}")
         if self.n * self.x_max > HARD_NODE_CAP:  # M >= n*x_max: reject before any tail
-            raise ValueError(f"n*x_max={self.n * self.x_max} exceeds the cap {HARD_NODE_CAP}")
+            raise ArgumentError(f"n*x_max={self.n * self.x_max} exceeds the cap {HARD_NODE_CAP}")
         m_tail = _truncation_index(self.n * self.x_max, self.tail_tol)
         # Iteration lets the truncation defect at the top node diffuse
         # downward by roughly a Poisson width per sweep; the buffer keeps
         # that contamination below tail_tol on [0, x_max] for moderate k.
         m = m_tail + math.ceil(3.2 * math.sqrt(m_tail * math.log(1.0 / self.tail_tol)))
         if m > HARD_NODE_CAP:
-            raise ValueError(f"M={m} exceeds the node cap {HARD_NODE_CAP}")
+            raise ArgumentError(f"M={m} exceeds the node cap {HARD_NODE_CAP}")
         object.__setattr__(self, "M", m)
 
     @property
@@ -115,7 +115,7 @@ class SzaszContext:
         """
         mean = self.n * x
         if not 0 <= mean <= HARD_NODE_CAP:  # also rejects NaN
-            raise ValueError(f"x={x} outside [0, {HARD_NODE_CAP / self.n}]")
+            raise ArgumentError(f"x={x} outside [0, {HARD_NODE_CAP / self.n}]")
         if mean > self.M:
             return float(1.0 - np.sum(_poisson_vector(1, mean, self.M)))
         return float(_tail_masses(mean, self.M)[self.M])

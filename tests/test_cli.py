@@ -394,6 +394,7 @@ BAD_ARGV = [
     ["derivative", "--fn", "sin2pi", "--k", "1,inf", "--out", "OUT"],
     ["integrate", "--fn", "expx", "--k", "1,2"],
     ["integrate", "--fn", "expx", "--a=-1e308", "--b", "1e308"],
+    ["szasz", "--fn", "chi4", "--tail-tol", "1e-300", "--out", "OUT"],
 ]
 
 
@@ -517,6 +518,18 @@ def test_samples_past_float_range_are_one_numeric_error(k, tmp_path, capsys, rec
     assert main(["approx", "--samples", str(samples), "--k", k, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric error: ") and err.count("\n") == 1
+    assert not recwarn.list
+    assert not out.exists()
+
+
+def test_limit_past_float_range_is_one_numeric_error(tmp_path, capsys, recwarn):
+    samples = tmp_path / "s.txt"
+    values = [0.0] + [(-1) ** j * 1e300 for j in range(1, 30)] + [0.0]
+    samples.write_text("30\n" + "".join(f"{v!r}\n" for v in values))
+    out = tmp_path / "x.csv"
+    assert main(["approx", "--samples", str(samples), "--k", "inf", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric error: overflow encountered in the k=inf solve\n"
     assert not recwarn.list
     assert not out.exists()
 

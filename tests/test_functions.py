@@ -50,6 +50,17 @@ def test_example7_continuous_first_derivative():
     assert right == pytest.approx(0.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("name, h, points", [
+    ("example7", 1e-6, [0.05, 0.2, 0.4, 0.45, 0.55, 0.7, 0.8, 0.95]),
+    ("example8", 1e-5, [0.05, 0.2, 0.4, 0.55, 0.7, 0.8, 0.95]),
+])
+def test_derivative_matches_central_difference(name, h, points):
+    # Interior points away from the junctions (0.5 and 2/3 - 0.05).
+    f = registry_lookup(name)
+    for t in points:
+        assert f.derivative(t) == pytest.approx((f(t + h) - f(t - h)) / (2 * h), abs=1e-6)
+
+
 def test_registry_functions_finite_on_domain():
     for name in registry_names():
         nf = registry_lookup(name)

@@ -211,6 +211,16 @@ class TestLimitCoefficients:
             limit_coefficients(s, force=True)
         assert 1e15 < info.value.condition_estimate < 1e18
 
+    def test_overflow_raises(self):
+        # The LU solve ignores overflow: at n = 30 these samples give NaN and
+        # inf in its solution; at n = 20 the same pattern solves finitely.
+        def alternating(n):
+            return UniformSamples(n, [0.0] + [(-1) ** j * 1e300 for j in range(1, n)] + [0.0])
+
+        with pytest.raises(FloatingPointError, match="overflow"):
+            limit_coefficients(alternating(30))
+        assert np.all(np.isfinite(limit_coefficients(alternating(20)).coeffs))
+
     def test_cap_enforced_and_forceable(self):
         n = 31
         rng = np.random.default_rng(0)

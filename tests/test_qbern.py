@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from iterbern import (
+    ArgumentError,
     QContext,
     UniformSamples,
     basis_eval,
@@ -129,6 +130,46 @@ class TestQContext:
             want = [float(v / qint[n]) for v in qint]
         np.testing.assert_allclose(QContext(q, n).nodes, want, rtol=0, atol=1e-15)
 
+    # Nodes and Gaussian row at (q, n) = (0.9, 10) and (1.1, 20), as computed
+    # when the row took (n, q) and recomputed the q-integers itself.
+    PINNED = {
+        (0.9, 10): (
+            [0.0, 0.1535339932787629, 0.29171458722964955, 0.4160771217854476,
+             0.5280034028856657, 0.628737055875862, 0.7193973435670388,
+             0.8009916024890977, 0.874426435518951, 0.940517785245819, 1.0],
+            [1.0, 6.513215599000001, 20.99927592985786, 44.13201552882579,
+             66.94914018795158, 76.60282331890896, 66.94914018795158, 44.13201552882578,
+             20.999275929857852, 6.513215598999999, 0.9999999999999996],
+        ),
+        (1.1, 20): (
+            [0.0, 0.017459624772545774, 0.03666521202234613, 0.057791357997126515,
+             0.08103011856938494, 0.10659275519886921, 0.13471165549130193,
+             0.16564244581297788, 0.19966631516682148, 0.23709257145604942,
+             0.27826145337420016, 0.323547223484166, 0.37336157060512837,
+             0.42815735243818703, 0.48843271245455144, 0.5547356084725524,
+             0.6276687940923535, 0.7078952982741348, 0.7961444528740942,
+             0.8932185229340492, 1.0],
+            [1.0, 57.27499949325605, 1395.3032759563741, 19221.956391558626,
+             167926.84983625208, 988833.0884758501, 4071963.3576833457, 12007067.983374301,
+             25747529.99278632, 40545927.60233893, 47144590.600859314, 40545927.60233894,
+             25747529.992786326, 12007067.983374305, 4071963.3576833466, 988833.0884758502,
+             167926.8498362521, 19221.95639155863, 1395.3032759563744, 57.274999493256054,
+             1.0],
+        ),
+    }
+
+    @pytest.mark.parametrize("q, n", sorted(PINNED))
+    def test_nodes_and_row_bit_identical(self, q, n, monkeypatch):
+        calls = []
+        q_number = qbern.q_number
+        monkeypatch.setattr(qbern, "q_number", lambda *a: calls.append(a) or q_number(*a))
+        ctx = QContext(q, n)
+        assert len(calls) == 1  # one vector of q-integers per context
+        nodes, row = self.PINNED[q, n]
+        assert ctx.nodes.tolist() == nodes
+        assert ctx._row.tolist() == row
+        assert [q_binomial(n, r, q) for r in range(n + 1)] == row
+
     def test_attraction_toward_zero(self):
         ctx = QContext(1.3, 10)
         for i in range(1, 10):
@@ -234,6 +275,15 @@ class TestQApply:
             assert q_apply(ctx, vals, t) == pytest.approx(
                 bernstein_apply(s, t), abs=1e-13
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_node_values_rejected(self, bad):
+        ctx = QContext(0.9, 4)
+        vals = [0.0, 1.0, bad, 1.0, 0.0]
+        for call in (lambda: q_coefficients(ctx, vals, 3), lambda: q_apply(ctx, vals, 0.5),
+                     lambda: q_iterated(ctx, vals, 3, 0.5)):
+            with pytest.raises(ArgumentError, match="node values must all be finite"):
+                call()
 
     def test_length_mismatch(self):
         ctx = QContext(1.1, 5)

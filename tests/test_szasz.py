@@ -104,6 +104,10 @@ class TestSzaszContext:
         with pytest.raises(TypeError):
             SzaszContext(10, 8.0, 1e-12, M=50)
 
+    def test_tail_mass_past_the_horizon(self):
+        with pytest.raises(ValueError, match="could not reach tail mass 1e-300"):
+            SzaszContext(10, 8.0, 1e-300)
+
     def test_tail_tol_range(self):
         with pytest.raises(ValueError, match="tail_tol"):
             SzaszContext(10, 8.0, 1e-3)
