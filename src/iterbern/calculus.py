@@ -28,20 +28,25 @@ def forward_difference(values, r: int, i: int) -> float:
     return float(np.diff(values[i : i + r + 1], r)[0])
 
 
-def derivative_eval(samples: UniformSamples, k, r: int, t):
-    """r-th derivative of the order-k iterated approximant at t.
-
-    t is a point or a 1-d array; k may be INFINITY. r = 0 is plain
-    evaluation, so grid sweeps can treat the value and its derivatives
-    uniformly.
-    """
-    n = samples.n
+@np.errstate(over="raise", invalid="raise")
+def _derivative_coefficients(c: np.ndarray, r: int) -> np.ndarray:
+    """Degree-(n - r) coefficients of the r-th derivative: r steps of c <- m diff(c),
+    m = n, n - 1, ...; a coefficient past the float range raises FloatingPointError."""
+    n = len(c) - 1
     if r < 0:
         raise ArgumentError(f"derivative order must be nonnegative, got r={r}")
     if r > n:
         raise ArgumentError(f"derivative order r={r} exceeds degree n={n}")
-    c = coefficients(samples, k).coeffs
-    return math.perm(n, r) * (np.diff(c, r) @ basis_vector(n - r, t))
+    for m in range(n, n - r, -1):
+        c = m * np.diff(c)
+    return c
+
+
+def derivative_eval(samples: UniformSamples, k, r: int, t):
+    """r-th derivative of the order-k iterated approximant at t, a point or a 1-d
+    array; k may be INFINITY, and r = 0 is plain evaluation."""
+    c = _derivative_coefficients(coefficients(samples, k).coeffs, r)
+    return c @ basis_vector(samples.n - r, t)
 
 
 def basis_integral_vector(n: int, x) -> np.ndarray:
@@ -50,7 +55,7 @@ def basis_integral_vector(n: int, x) -> np.ndarray:
     Uses the degree-elevation identity: S_ni(x) is 1/(n+1) times the tail
     sum of the degree-(n+1) basis at x, which may be an array.
     """
-    elevated = basis_vector(n + 1, x)
+    elevated = basis_vector(_degree(n, 0) + 1, x)
     # tail[i] = sum of elevated[i+1:]; tail sums keep endpoint values exact.
     tail = np.cumsum(elevated[::-1], axis=0)[::-1]
     return tail[1:] / (n + 1)

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .calculus import quadrature
+from .calculus import _derivative_coefficients, quadrature
 from .core import ArgumentError, ConditioningError, UniformSamples, _sample_nodes
 from .core import basis_vector, bernstein_matrix
 from .iterated import INFINITY, MAX_ITERATIONS, coefficients
@@ -114,10 +114,6 @@ def finite_k_list(text: str) -> list:
     return k_list
 
 
-def k_label(k) -> str:
-    return "inf" if k == INFINITY else str(k)
-
-
 def load_samples(path: str) -> UniformSamples:
     """Samples file: line 1 = n, then n+1 values f(i/n); '#' comments allowed."""
     with open(path) as fh:
@@ -147,26 +143,26 @@ def write_csv(path: str, meta: dict, header: list, rows: list):
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
-def write_grid_report(args, meta, axis, upper, truth, prefix, basis, rows, scale=1) -> int:
+def write_grid_report(args, meta, axis, upper, truth, prefix, basis, rows) -> int:
     """Write a grid report to args.out: one CSV row per point of the args.grid
     points on [0, upper], holding the point, then truth(point) when truth is
     given, then each order's value and its error against truth.
 
     meta holds the '# key=value' lines that follow operation and function.
     rows holds (k, row) pairs; on each block of points, order k's values are
-    scale * (row @ basis(block)), in columns <prefix>_k<k> and err_k<k>.
+    row @ basis(block), in columns <prefix>_k<k> and err_k<k>.
     """
     source = args.fn or getattr(args, "samples", None)
     meta = {"operation": args.command, "function": source, **meta}
     has_truth = truth is not None
     header = [axis] + (["truth"] if has_truth else [])
     for k, _ in rows:
-        header += [f"{prefix}_k{k_label(k)}"] + ([f"err_k{k_label(k)}"] if has_truth else [])
+        header += [f"{prefix}_k{k}"] + ([f"err_k{k}"] if has_truth else [])
     grid = np.linspace(0.0, upper, args.grid)
     values = np.empty((len(rows), len(grid)))
     for i in range(0, len(grid), GRID_BLOCK):
         block = basis(grid[i : i + GRID_BLOCK])
-        values[:, i : i + GRID_BLOCK] = [scale * (row @ block) for _, row in rows]
+        values[:, i : i + GRID_BLOCK] = [row @ block for _, row in rows]
         del block  # so that at most one block's basis is alive
     table = [grid]
     if has_truth:
@@ -192,7 +188,7 @@ def cmd_approx(args) -> int:
     n = samples.n
     matrix = bernstein_matrix(n)
     rows = [(k, coefficients(samples, k, force=args.force, matrix=matrix).coeffs) for k in args.k]
-    meta = {"n": n, "k": ",".join(map(k_label, args.k))}
+    meta = {"n": n, "k": ",".join(map(str, args.k))}
     basis = partial(basis_vector, n)
     return write_grid_report(args, meta, "t", 1.0, fn, "approx", basis, rows)
 
@@ -210,8 +206,8 @@ def cmd_table(args) -> int:
             value = quadrature(fn, 0.0, 1.0, n, k)
             dev = abs(value - ref)
             worst = max(worst, dev)
-            print(f"{name:<10}{k_label(k):>6}{value:>14.7f}{ref:>14.7f}{dev:>12.2e}")
-            rows.append([name, k_label(k), value, float(ref), dev, float(exact)])
+            print(f"{name:<10}{k!s:>6}{value:>14.7f}{ref:>14.7f}{dev:>12.2e}")
+            rows.append([name, str(k), value, float(ref), dev, float(exact)])
     out = args.out or f"table{args.table_id}.csv"
     write_csv(
         out,
@@ -233,11 +229,11 @@ def cmd_derivative(args) -> int:
         raise UsageError(f"r={args.r} exceeds degree n={n}")
     truth = fn.derivative if (fn is not None and args.r == 1) else None
     matrix = bernstein_matrix(n)
-    # As in derivative_eval: r-th differences, times n!/(n - r)! after the product.
-    rows = [(k, np.diff(coefficients(samples, k, matrix=matrix).coeffs, args.r)) for k in args.k]
-    meta = {"n": n, "k": ",".join(map(k_label, args.k)), "r": args.r}
-    basis, scale = partial(basis_vector, n - args.r), math.perm(n, args.r)
-    return write_grid_report(args, meta, "t", 1.0, truth, f"d{args.r}", basis, rows, scale)
+    rows = [(k, _derivative_coefficients(coefficients(samples, k, matrix=matrix).coeffs, args.r))
+            for k in args.k]
+    meta = {"n": n, "k": ",".join(map(str, args.k)), "r": args.r}
+    return write_grid_report(args, meta, "t", 1.0, truth, f"d{args.r}",
+                             partial(basis_vector, n - args.r), rows)
 
 
 def cmd_integrate(args) -> int:
@@ -251,13 +247,8 @@ def cmd_szasz(args) -> int:
     fn = registry_lookup(args.fn)
     ctx = SzaszContext(args.n, args.xmax, args.tail_tol)
     rows = [(k, szasz_coefficients(fn, ctx, k)) for k in args.k]
-    meta = {
-        "n": args.n,
-        "k": ",".join(map(k_label, args.k)),
-        "x_max": args.xmax,
-        "tail_tol": args.tail_tol,
-        "M": ctx.M,
-    }
+    meta = {"n": args.n, "k": ",".join(map(str, args.k)), "x_max": args.xmax,
+            "tail_tol": args.tail_tol, "M": ctx.M}
     return write_grid_report(args, meta, "x", args.xmax, fn, "approx", ctx.basis, rows)
 
 
@@ -266,12 +257,8 @@ def cmd_qbernstein(args) -> int:
     ctx = QContext(args.q, args.n)
     node_values = _sample_nodes(fn, ctx.nodes)
     rows = [(k, q_coefficients(ctx, node_values, k)) for k in args.k]
-    meta = {
-        "n": args.n,
-        "q": args.q,
-        "k": ",".join(map(k_label, args.k)),
-        "nodes": ",".join(repr(float(v)) for v in ctx.nodes),
-    }
+    meta = {"n": args.n, "q": args.q, "k": ",".join(map(str, args.k)),
+            "nodes": ",".join(repr(float(v)) for v in ctx.nodes)}
     return write_grid_report(args, meta, "t", 1.0, fn, "approx", ctx.basis, rows)
 
 

@@ -153,16 +153,16 @@ def bernstein_apply(samples: UniformSamples, t: float) -> float:
     return eval_iterated(IterCoefficients(samples.n, 1, samples.values), t)
 
 
-def iterated_basis(n: int, i: int, k: int, t: float) -> float:
-    """Iterated basis polynomial: order-k image of the node-i indicator."""
+def iterated_basis(n: int, i: int, k, t: float) -> float:
+    """Order-k image of the node-i indicator; at k = INFINITY, the Lagrange basis polynomial."""
     i = _index(i, n)
     values = np.zeros(n + 1)
     values[i] = 1.0
-    return eval_iterated(iterate_coefficients(UniformSamples(n, values), k), t)
+    return eval_iterated(coefficients(UniformSamples(n, values), k), t)
 
 
-def error_estimate(samples: UniformSamples, k: int, t: float) -> float:
-    """Order-k minus order-(k+1) value at t, as F(k) - F(k+1) = F(k) B - F(1)."""
+def error_estimate(samples: UniformSamples, k, t: float) -> float:
+    """Order-k minus order-(k+1) value at t, F(k) B - F(1); the solve's residual at k = INFINITY."""
     matrix = bernstein_matrix(samples.n)
-    fk = iterate_coefficients(samples, k, matrix=matrix).coeffs
+    fk = coefficients(samples, k, matrix=matrix).coeffs
     return (fk @ matrix.entries - samples.values) @ basis_vector(samples.n, t)

@@ -2,7 +2,8 @@
 nonuniform nodes, and the iterated q-Bernstein polynomials.
 
 The nodes and the Gaussian row come from one vector of q-integers, each
-expm1(x L) / expm1(L) with L = log1p(q - 1), which does not cancel as q -> 1.
+expm1(x L) / expm1(L) with L = log1p(q - 1), which does not cancel as q -> 1
+(below q = 0.5, L = log q, as q - 1 rounds to -1 for q <= 5.5e-17).
 
 For q > 1 the nodes are pulled toward 0 and approximation quality near
 t = 1 degrades quickly, so the supported range is capped. q < 1 evaluates
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,11 +32,11 @@ Q_WARN = 1.3
 @np.errstate(over="raise")
 def q_number(x, q: float):
     """The q-number [x]_q = (1 - q^x) / (1 - q), with [x]_1 = x; x may be an array."""
-    if q <= 0:
-        raise ArgumentError(f"q must be positive, got q={q}")
+    if not 0 < q < math.inf:  # also rejects NaN
+        raise ArgumentError(f"q must be positive and finite, got q={q}")
     if q == 1.0:  # the limit, where the quotient below is 0/0
         return np.array(x, dtype=float)[()]
-    log_q = math.log1p(q - 1.0)
+    log_q = math.log(q) if q < 0.5 else math.log1p(q - 1.0)  # q - 1 is exact from 0.5 up
     return (np.expm1(np.multiply(x, log_q)) / math.expm1(log_q))[()]
 
 
@@ -50,6 +52,7 @@ def _gaussian_row(n: int, q: float, qint: np.ndarray | None = None) -> np.ndarra
 def q_binomial(n: int, r: int, q: float) -> float:
     """Gaussian binomial coefficient [n, r]_q, read off the Gaussian row; 0 outside 0..n."""
     n = _degree(n, 0)
+    r = operator.index(r)
     row = _gaussian_row(n, q)  # q_number checks q, also for r outside 0..n
     return float(row[r]) if 0 <= r <= n else 0.0
 
@@ -70,7 +73,7 @@ class QContext:
             warnings.warn(
                 f"q={self.q} > {Q_WARN}: approximation near t=1 degrades rapidly",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
         object.__setattr__(self, "n", _degree(self.n))
         qint = q_number(np.arange(self.n + 1), self.q)

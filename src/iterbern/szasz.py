@@ -24,6 +24,8 @@ HARD_NODE_CAP = 11_000
 
 def poisson_basis(n: int, i: int, x: float) -> float:
     """Poisson weight e^{-nx} (nx)^i / i!, computed in log space at index i alone."""
+    if not 1 <= n < math.inf:  # also rejects NaN
+        raise ArgumentError(f"rate scale must be >= 1 and finite, got n={n}")
     if not 0 <= x < math.inf:  # also rejects NaN
         raise ArgumentError(f"x={x} outside [0, inf)")
     if i < 0:
@@ -76,8 +78,8 @@ class SzaszContext:
     M: int = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ArgumentError(f"rate scale must be positive, got n={self.n}")
+        if not 1 <= self.n < math.inf:  # also rejects NaN
+            raise ArgumentError(f"rate scale must be >= 1 and finite, got n={self.n}")
         if not 0 < self.x_max < math.inf:  # also rejects NaN
             raise ArgumentError(f"x_max must be positive and finite, got {self.x_max}")
         if not 0 < self.tail_tol <= 1e-6:

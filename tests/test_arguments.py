@@ -15,6 +15,7 @@ from iterbern import (
     UniformSamples,
     basis_eval,
     basis_integral,
+    basis_integral_vector,
     basis_vector,
     bernstein_matrix,
     binomial,
@@ -43,8 +44,9 @@ SAMPLES = UniformSamples(2, [0.0, 0.25, 1.0])
     lambda: q_binomial(5.0, 2, 0.9),
     lambda: IterCoefficients(5.0, 1, np.ones(6)),
     lambda: basis_eval(5, 2.0, 0.5),
+    lambda: q_binomial(5, 2.5, 0.9),
 ], ids=["samples", "from_function", "QContext", "quadrature", "q_binomial",
-        "IterCoefficients", "index"])
+        "IterCoefficients", "index", "q_binomial index"])
 def test_float_degree_or_index_is_type_error(build):
     with pytest.raises(TypeError):
         build()
@@ -102,6 +104,15 @@ BAD_CALLS = {
     "example8 parameters": lambda: build_example8(-1.0, 0.05),
     "example8 radius": lambda: build_example8(0.5, 0.05),
     "registry duplicate": duplicate_registration,
+    "rate nan": lambda: SzaszContext(math.nan),
+    "rate below 1": lambda: SzaszContext(0.5),
+    "poisson rate": lambda: poisson_basis(-1, 0, 1.0),
+    "poisson rate nan": lambda: poisson_basis(math.nan, 0, 1.0),
+    "poisson rate inf": lambda: poisson_basis(math.inf, 0, 1.0),
+    "q nan": lambda: q_number(3, math.nan),
+    "q inf": lambda: q_number(3, math.inf),
+    "q binomial nan": lambda: q_binomial(5, 2, math.nan),
+    "integral degree": lambda: basis_integral_vector(-1, 0.5),
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for derivatives, basis integrals and the quadrature rule."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from iterbern import (
     limit_coefficients,
     quadrature,
 )
+from iterbern.calculus import _derivative_coefficients
 
 
 class TestForwardDifference:
@@ -132,6 +134,30 @@ class TestDerivativeEval:
             )
 
         assert max_err(160) < max_err(40)
+
+
+class TestDerivativeCoefficients:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_exact_scaled_differences(self, n):
+        # n!/(n-r)! Delta^r c in exact rationals; the error of r rounded
+        # difference steps is a few ulps of n!/(n-r)! sum_j C(r, j) |c_(i+j)|.
+        c = np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)
+        for r in range(n + 1):
+            got = _derivative_coefficients(c, r)
+            assert got.shape == (n + 1 - r,)
+            for i in range(n + 1 - r):
+                window = [Fraction(v) for v in c[i : i + r + 1]]
+                exact = sum((-1) ** (r - j) * math.comb(r, j) * v for j, v in enumerate(window))
+                bound = sum(math.comb(r, j) * abs(v) for j, v in enumerate(window))
+                err = abs(Fraction(got[i]) - math.perm(n, r) * exact)
+                assert err <= 4 * 2.0**-52 * math.perm(n, r) * bound
+
+    def test_past_float_range_raises(self):
+        # At n = 1100 the coefficients of the 103rd derivative of sin 2 pi t
+        # leave the float range.
+        s = UniformSamples.from_function(lambda t: math.sin(2 * math.pi * t), 1100)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            derivative_eval(s, 1, 103, 0.5)
 
 
 class TestBasisIntegral:

@@ -295,6 +295,17 @@ def test_qbernstein_q1_matches_approx(tmp_path):
             assert abs(vq - va) < 1e-12
 
 
+def test_qbernstein_tiny_q(tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    assert main(["qbernstein", "--fn", "sin2pi", "--n", "10", "--q", "1e-300", "--k", "1,2",
+                 "--grid", "11", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    meta, header, rows = read_report(out)
+    assert meta["nodes"] == ",".join(["0.0"] + ["1.0"] * 10)
+    assert header == ["t", "truth", "approx_k1", "err_k1", "approx_k2", "err_k2"]
+    assert np.isfinite(np.array(rows, dtype=float)).all()
+
+
 def test_qbernstein_out_of_range(tmp_path):
     rc = main(["qbernstein", "--fn", "sin2pi", "--n", "5", "--q", "1.9",
                "--k", "1", "--grid", "11", "--out", str(tmp_path / "x.csv")])
@@ -574,3 +585,13 @@ def test_library_and_cli_import_without_scipy():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(iterbern.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("n,r", [("1100", "1100"), ("200", "150")])
+def test_derivative_past_float_range_is_one_numeric_error(n, r, tmp_path, capsys, recwarn):
+    out = tmp_path / "d.csv"
+    assert main(["derivative", "--fn", "sin2pi", "--n", n, "--r", r, "--k", "1",
+                 "--grid", "3", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numeric error: overflow encountered in multiply\n"
+    assert not recwarn.list
+    assert not out.exists()

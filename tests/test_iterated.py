@@ -296,6 +296,18 @@ class TestIteratedBasis:
             total = sum(iterated_basis(n, i, k, t) for i in range(n + 1))
             assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_limit_is_lagrange_basis(self, n):
+        # The k -> infinity image of the node-i indicator interpolates it at
+        # every uniform node, so it is the Lagrange basis polynomial.
+        nodes = np.arange(n + 1) / n
+        t = np.linspace(0, 1, 37)
+        for i in range(n + 1):
+            others = np.delete(nodes, i)
+            lagrange = np.prod([(t - x) / (nodes[i] - x) for x in others], axis=0)
+            got = iterated_basis(n, i, INFINITY, t)
+            assert np.max(np.abs(got - lagrange)) < 1e-12
+
 
 class TestErrorEstimate:
     def test_linear_zero(self):
@@ -340,6 +352,12 @@ class TestErrorEstimate:
         monkeypatch.setattr(iterated, "_iterate", counted)
         error_estimate(UniformSamples(9, np.linspace(0, 1, 10) ** 2), 40, 0.3)
         assert orders == [40]
+
+    def test_limit_is_residual_of_the_solve(self):
+        # F(inf) B = F(1) up to the solve's rounding: the estimate is its residual.
+        s = UniformSamples.from_function(math.exp, 10)
+        t = np.linspace(0, 1, 41)
+        assert np.max(np.abs(error_estimate(s, INFINITY, t))) <= 1e-13
 
 
 class TestConvergenceOfIterates:

@@ -210,6 +210,20 @@ class TestQContext:
         with pytest.warns(RuntimeWarning, match="degrades"):
             QContext(1.4, 5)
 
+    def test_warning_names_the_caller(self):
+        with pytest.warns(RuntimeWarning, match="degrades") as record:
+            QContext(1.4, 5)
+        assert [w.filename for w in record] == [__file__]
+
+    @pytest.mark.parametrize("q", [1e-17, 1e-300, 5e-324])
+    def test_tiny_q(self, q):
+        # q - 1 rounds to -1 here, so the q-integers take L = log q: [0]_q = 0
+        # and [j]_q = 1 for j >= 1, which puts every node but the first at 1.
+        ctx = QContext(q, 6)
+        assert np.array_equal(ctx.nodes, [0.0] + [1.0] * 6)
+        total = ctx.basis(np.linspace(0, 1, 21)).sum(axis=0)
+        assert np.max(np.abs(total - 1.0)) <= 2.5e-16
+
 
 class TestQBasis:
     def test_q1_reduction(self):

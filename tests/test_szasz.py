@@ -50,6 +50,13 @@ class TestPoissonBasis:
         with pytest.raises(ValueError, match="outside"):
             poisson_basis(3, 1, x)
 
+    @pytest.mark.parametrize("n", [0.5, -1.0, math.nan, math.inf])
+    def test_rate_below_one_or_nonfinite(self, n):
+        with pytest.raises(ValueError, match=">= 1 and finite"):
+            poisson_basis(n, 1, 1.0)
+        with pytest.raises(ValueError, match=">= 1 and finite"):
+            SzaszContext(n)
+
     @pytest.mark.parametrize("x", [0.0, 0.3, 2.0, 8.0])
     def test_matches_vector_entry(self, x):
         m = 2000
