@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Degrees whose node matrix is built once and shared; all of them together
-# hold 8 * sum((n+1)^2) bytes, about 5.8 MB.
+# Degrees whose node matrix and complement I - B are built once and shared;
+# each of the two holds 8 * sum((n+1)^2) bytes, 5.8 MB, so 11.6 MB at worst.
 _CACHED_DEGREE_MAX = 128
 
 
@@ -56,6 +56,14 @@ def _node_vector(values, n: int, what: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ArgumentError(f"{what} must all be finite")
     return values
+
+
+def _complement(a: np.ndarray) -> np.ndarray:
+    """I - a in a's own storage, read-only; 0 - a keeps +0.0, so it is bit for bit np.eye - a."""
+    np.subtract(0.0, a, out=a)
+    a[np.diag_indices_from(a)] += 1.0
+    a.flags.writeable = False
+    return a
 
 
 def binomial(n: int, i: int) -> float:
@@ -153,6 +161,11 @@ class BernsteinMatrix:
         entries = basis_vector(self.n, np.arange(self.n + 1) / self.n)
         entries.flags.writeable = False
         return entries
+
+    @functools.cached_property
+    def complement(self) -> np.ndarray:
+        """I - B, read-only, from a build of its own on first use and kept."""
+        return _complement(basis_vector(self.n, np.arange(self.n + 1) / self.n))
 
     @functools.cached_property
     def _interior_condition(self) -> float:

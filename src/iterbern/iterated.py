@@ -4,11 +4,11 @@ The coefficient row vector of order k satisfies the recurrence
 F(k+1) = F(k)(I - B) + F(1) with F(1) the raw node samples, so that
 F(k) = F(1) (I + (I - B) + ... + (I - B)^(k-1)) (Kelisky & Rivlin). The
 recurrence is the same for every operator family; _iterate runs exactly
-k - 1 steps of it on a BernsteinMatrix, SzaszContext or QContext, reading
-the node matrix from its entries. The limit solves X B = F(1), which makes
-the limiting approximant interpolate the samples at the nodes; it is the only
-path with a degree cap. The Bernstein and q-Bernstein operators reproduce
-the end-sample chord l, so each order is F(1) + (op(g) - g), g = F(1) - l.
+k - 1 steps of it, each one product with the family's cached complement
+I - B and one add. The limit solves X B = F(1), which makes the limiting
+approximant interpolate the samples at the nodes; it is the only path with a
+degree cap. The Bernstein and q-Bernstein operators reproduce the end-sample
+chord l, so each order is F(1) + (op(g) - g), g = F(1) - l.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ def _iterate(f1: np.ndarray, op, k) -> np.ndarray:
 
     Runs exactly k - 1 steps of the recurrence, so order k means k; k is a
     whole number in 1..MAX_ITERATIONS of any type (2.0 is order 2), and 2.5,
-    nan or inf raise ArgumentError. Only a step reads op.entries, the node
-    matrix, so order 1 builds no operator. A step past the float range
+    nan or inf raise ArgumentError. Only a step reads op.complement, the
+    matrix I - B, so order 1 builds no operator. A step past the float range
     raises FloatingPointError.
     """
     if k > MAX_ITERATIONS:
@@ -74,7 +74,7 @@ def _iterate(f1: np.ndarray, op, k) -> np.ndarray:
         raise ArgumentError(f"iteration order must be a whole number >= 1, got k={k}")
     f = f1.copy()
     for _ in range(int(k) - 1):
-        f = f - f @ op.entries + f1
+        f = f @ op.complement + f1
     return f
 
 
@@ -165,4 +165,4 @@ def error_estimate(samples: UniformSamples, k, t: float) -> float:
     """Order-k minus order-(k+1) value at t, F(k) B - F(1); the solve's residual at k = INFINITY."""
     matrix = bernstein_matrix(samples.n)
     fk = coefficients(samples, k, matrix=matrix).coeffs
-    return (fk @ matrix.entries - samples.values) @ basis_vector(samples.n, t)
+    return (fk - fk @ matrix.complement - samples.values) @ basis_vector(samples.n, t)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ArgumentError, _checked_points, _degree, _index, _node_vector
+from .core import ArgumentError, _checked_points, _complement, _degree, _index, _node_vector
 from .iterated import _iterate, _minus_chord
 
 Q_MAX = 1.5
@@ -101,6 +101,11 @@ class QContext:
         """The node matrix, the basis at the q-nodes, built on first use and kept."""
         return self.basis(self.nodes)
 
+    @functools.cached_property
+    def complement(self) -> np.ndarray:
+        """I - entries, read-only, from a build of its own on first use and kept."""
+        return _complement(self.basis(self.nodes))
+
 
 def q_basis(ctx: QContext, i: int, t: float) -> float:
     """q-Bernstein basis Q_{ni}(t) in product form."""
@@ -116,7 +121,7 @@ def q_apply(ctx: QContext, node_values, t: float) -> float:
 def q_coefficients(ctx: QContext, node_values, k: int) -> np.ndarray:
     """Order-k coefficient vector for the iterated q-Bernstein polynomial.
 
-    The classical recurrence on the samples minus their chord, with ctx.entries.
+    The classical recurrence on the samples minus their chord, with ctx.complement.
     """
     node_values = _node_vector(node_values, ctx.n, "node values")
     g = _minus_chord(node_values, ctx.nodes)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ArgumentError, _checked_points, _sample_nodes
+from .core import ArgumentError, _checked_points, _complement, _sample_nodes
 from .iterated import _iterate
 
 # Most nodes a context may hold: the dense operator on them stays below 1 GiB.
@@ -30,6 +30,8 @@ def poisson_basis(n: int, i: int, x: float) -> float:
         raise ArgumentError(f"x={x} outside [0, inf)")
     if i < 0:
         raise ArgumentError(f"index must be nonnegative, got i={i}")
+    if float(n) * float(x) == math.inf:
+        raise ArgumentError(f"n*x overflows the float range, n={n}, x={x}")
     return float(_poisson_vector(n, x, i, start=i)[0])
 
 
@@ -108,6 +110,11 @@ class SzaszContext:
         """The node matrix, the weights at all M + 1 nodes, built on first use and kept."""
         return _poisson_vector(self.n, self.nodes, self.M)
 
+    @functools.cached_property
+    def complement(self) -> np.ndarray:
+        """I - entries, read-only, from a build of its own on first use and kept."""
+        return _complement(_poisson_vector(self.n, self.nodes, self.M))
+
     def partition_defect(self, x: float) -> float:
         """Truncation defect at x: the Poisson tail mass above M.
 
@@ -133,7 +140,7 @@ def szasz_apply(fn, ctx: SzaszContext, x: float) -> float:
 
 
 def szasz_coefficients(fn, ctx: SzaszContext, k: int) -> np.ndarray:
-    """Order-k node coefficients via the finite-matrix surrogate ctx.entries.
+    """Order-k node coefficients via the finite-matrix surrogate, ctx.complement.
 
     The coefficients come from the Bernstein recurrence. Compute once,
     then evaluate with szasz_eval on a grid.

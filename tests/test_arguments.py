@@ -113,6 +113,8 @@ BAD_CALLS = {
     "q inf": lambda: q_number(3, math.inf),
     "q binomial nan": lambda: q_binomial(5, 2, math.nan),
     "integral degree": lambda: basis_integral_vector(-1, 0.5),
+    "poisson rate times point": lambda: poisson_basis(1e300, 1, 1e10),
+    "poisson rate times point 1e200": lambda: poisson_basis(1e200, 1, 1e200),
 }
 
 

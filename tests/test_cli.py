@@ -554,6 +554,15 @@ def test_order_one_report_builds_no_node_matrix(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "a.csv")]) == 0
 
 
+def test_order_one_report_builds_no_complement(tmp_path, monkeypatch):
+    def unbuilt(matrix):
+        raise AssertionError(f"complement of degree {matrix.n} built")
+
+    monkeypatch.setattr(core.BernsteinMatrix, "complement", property(unbuilt))
+    assert main(["approx", "--fn", "sin2pi", "--n", "200", "--k", "1", "--grid", "11",
+                 "--out", str(tmp_path / "a.csv")]) == 0
+
+
 def test_szasz_report_builds_operator_once_and_one_basis_per_block(tmp_path, monkeypatch):
     shapes = []
     vector = szasz._poisson_vector

@@ -263,3 +263,22 @@ class TestBernsteinMatrix:
         assert core._cached_matrix.cache_info().currsize <= 128
         cached = sum(bernstein_matrix(n).entries.nbytes for n in range(1, 129))
         assert cached <= 5.8e6
+
+    def test_complement_cache_bounded(self):
+        for n in range(1, 201):
+            bernstein_matrix(n).complement
+        kept = [m for m in map(bernstein_matrix, range(1, 201)) if "complement" in vars(m)]
+        assert len(kept) <= 128
+        assert sum(m.complement.nbytes for m in kept) <= 5.8e6
+
+    @pytest.mark.parametrize("n", [1, 5, 30, 128, 129])
+    def test_complement_is_identity_minus_entries(self, n):
+        matrix = BernsteinMatrix(n)
+        assert "complement" not in vars(matrix)
+        complement = matrix.complement
+        expected = np.eye(n + 1) - matrix.entries
+        assert np.array_equal(complement.view(np.uint64), expected.view(np.uint64))
+        assert not complement.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            complement[0, 0] = 2.0
+        assert matrix.complement is complement

@@ -10,6 +10,8 @@ from iterbern import (
     INFINITY,
     BernsteinMatrix,
     ConditioningError,
+    QContext,
+    SzaszContext,
     UniformSamples,
     bernstein_apply,
     bernstein_matrix,
@@ -21,6 +23,8 @@ from iterbern import (
     iterate_coefficients,
     iterated_basis,
     limit_coefficients,
+    q_coefficients,
+    szasz_coefficients,
 )
 from iterbern.functions import registry_lookup
 
@@ -70,6 +74,18 @@ class TestIterateCoefficients:
         s = UniformSamples(200, np.linspace(0.0, 1.0, 201) ** 2)
         assert np.array_equal(iterate_coefficients(s, 1, matrix=matrix).coeffs, s.values)
         assert "entries" not in vars(matrix)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_orders_build_only_the_complement(self, k):
+        # order 1 builds no matrix in any family; a higher order builds
+        # I - op and never the node matrix itself
+        bern, q, sz = BernsteinMatrix(200), QContext(0.9, 30), SzaszContext(10)
+        iterate_coefficients(UniformSamples(200, np.linspace(0.0, 1.0, 201) ** 2), k, matrix=bern)
+        q_coefficients(q, q.nodes**2, k)
+        szasz_coefficients(math.exp, sz, k)
+        for op in (bern, q, sz):
+            assert "entries" not in vars(op)
+            assert ("complement" in vars(op)) == (k > 1)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_overflow_raises(self, k):
@@ -352,6 +368,19 @@ class TestErrorEstimate:
         monkeypatch.setattr(iterated, "_iterate", counted)
         error_estimate(UniformSamples(9, np.linspace(0, 1, 10) ** 2), 40, 0.3)
         assert orders == [40]
+
+    def test_finite_order_builds_one_matrix(self, monkeypatch):
+        # above the shared degrees each matrix is a fresh build: the estimate
+        # reuses the complement that its order-k coefficients built
+        def unbuilt(matrix):
+            raise AssertionError(f"node matrix of degree {matrix.n} built")
+
+        monkeypatch.setattr(BernsteinMatrix, "entries", property(unbuilt))
+        s = UniformSamples(200, np.sin(3 * np.arange(201) / 200))
+        want = eval_iterated(iterate_coefficients(s, 3), 0.3) - eval_iterated(
+            iterate_coefficients(s, 4), 0.3
+        )
+        assert error_estimate(s, 3, 0.3) == pytest.approx(want, abs=1e-13)
 
     def test_limit_is_residual_of_the_solve(self):
         # F(inf) B = F(1) up to the solve's rounding: the estimate is its residual.

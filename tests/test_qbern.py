@@ -192,6 +192,17 @@ class TestQContext:
         assert np.array_equal(ctx.entries, ctx.basis(ctx.nodes))
         assert ctx.entries is ctx.entries
 
+    @pytest.mark.parametrize("q", [0.5, 0.9, 1.0, 1.1])
+    @pytest.mark.parametrize("n", [4, 30])
+    def test_complement_is_identity_minus_entries(self, q, n):
+        ctx = QContext(q, n)
+        assert "complement" not in vars(ctx)
+        complement = ctx.complement
+        expected = np.eye(n + 1) - ctx.entries
+        assert np.array_equal(complement.view(np.uint64), expected.view(np.uint64))
+        assert not complement.flags.writeable
+        assert ctx.complement is complement
+
     def test_nodes_not_an_argument(self):
         with pytest.raises(TypeError):
             QContext(0.9, 4, nodes=np.linspace(0, 1, 5))

@@ -107,6 +107,16 @@ class TestSzaszContext:
         assert np.array_equal(ctx.entries, _poisson_vector(ctx.n, ctx.nodes, ctx.M))
         assert ctx.entries is ctx.entries
 
+    @pytest.mark.parametrize("n, x_max", [(10, 8.0), (7, 80 / 7), (60, 7.99)])
+    def test_complement_is_identity_minus_entries(self, n, x_max):
+        ctx = SzaszContext(n, x_max)
+        assert "complement" not in vars(ctx)
+        complement = ctx.complement
+        expected = np.eye(ctx.M + 1) - ctx.entries
+        assert np.array_equal(complement.view(np.uint64), expected.view(np.uint64))
+        assert not complement.flags.writeable
+        assert ctx.complement is complement
+
     def test_m_not_an_argument(self):
         with pytest.raises(TypeError):
             SzaszContext(10, 8.0, 1e-12, M=50)
