@@ -5,6 +5,8 @@ index set 0..M where M is chosen so the Poisson tail mass beyond it, summed
 from the top, is below a configured tolerance. The truncation defect is
 measurable via partition_defect, never silently renormalized away. The
 weights take arrays of points: the operator is the weights at the nodes.
+Node j/n has Poisson mean j at every rate n, so the operator depends on M
+alone, and contexts up to _TABLE_M_MAX read its complement from one table.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from .iterated import _iterate
 
 # Most nodes a context may hold: the dense operator on them stays below 1 GiB.
 HARD_NODE_CAP = 11_000
+
+# Largest M whose complement I - W is a block of the shared table; the table
+# holds 8 * (M + 1)^2 bytes, so 16 MiB at worst. It is rebuilt at a larger M.
+_TABLE_M_MAX = 1447
+_table = np.empty((0, 0))
 
 
 def poisson_basis(n: int, i: int, x: float) -> float:
@@ -49,6 +56,11 @@ def _poisson_vector(n: int, x, m: int, start: int = 0) -> np.ndarray:
     out -= mean
     out -= np.array([math.lgamma(v + 1) for v in range(start, m + 1)]).reshape(i.shape)
     return np.exp(out, out=out)
+
+
+def _node_weights(m: int) -> np.ndarray:
+    """W[i, j] = e^-j j^i / i!, i, j = 0..m: the node matrix at any rate, as node j/n has mean j."""
+    return _poisson_vector(1, np.arange(m + 1.0), m)
 
 
 def _tail_masses(mean: float, start: int) -> np.ndarray:
@@ -107,13 +119,24 @@ class SzaszContext:
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
-        """The node matrix, the weights at all M + 1 nodes, built on first use and kept."""
-        return _poisson_vector(self.n, self.nodes, self.M)
+        """The node matrix W[i, j] = e^-j j^i / i!, the weights at all M + 1 nodes, kept."""
+        return _node_weights(self.M)
 
     @functools.cached_property
     def complement(self) -> np.ndarray:
-        """I - entries, read-only, from a build of its own on first use and kept."""
-        return _complement(_poisson_vector(self.n, self.nodes, self.M))
+        """I - entries, read-only: the leading block of the shared table, kept.
+
+        Each entry is computed on its own, so the block is bit for bit the
+        same whatever the table's size; above _TABLE_M_MAX it is built alone.
+        """
+        global _table
+        if self.M > _TABLE_M_MAX:
+            return _complement(_node_weights(self.M))
+        table = _table  # one read, so a rebuild elsewhere cannot swap it under the slice
+        if len(table) <= self.M:
+            _table = table = np.empty((0, 0))  # drop the old table before building the new one
+            _table = table = _complement(_node_weights(self.M))
+        return table[: self.M + 1, : self.M + 1]
 
     def partition_defect(self, x: float) -> float:
         """Truncation defect at x: the Poisson tail mass above M.

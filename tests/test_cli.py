@@ -573,6 +573,7 @@ def test_szasz_report_builds_operator_once_and_one_basis_per_block(tmp_path, mon
 
     m = szasz.SzaszContext(10).M
     monkeypatch.setattr(szasz, "_poisson_vector", counted)
+    monkeypatch.setattr(szasz, "_table", np.empty((0, 0)))
     points = 2 * cli.GRID_BLOCK + 3
     assert main(["szasz", "--fn", "chi4", "--n", "10", "--k", "1,2,3", "--grid", str(points),
                  "--out", str(tmp_path / "sz.csv")]) == 0

@@ -203,6 +203,21 @@ class TestQContext:
         assert not complement.flags.writeable
         assert ctx.complement is complement
 
+    @pytest.mark.parametrize("q", [0.5, 0.7, 0.9, 0.99, 1.0])
+    def test_spectrum_is_exact(self, q):
+        # The eigenvalues are prod_{s<j} q^s [n-s]_q / [n]_q, j = 0..n (Ostrovska 2003),
+        # here in exact rationals from the double q, rounded once (measured within 5.4e-14).
+        # q > 1 is left out: there the spectrum is ill-conditioned.
+        qf = Fraction(q)
+        for n in range(1, 31):
+            qint = [sum((qf**i for i in range(m)), Fraction(0)) for m in range(n + 1)]
+            exact = [Fraction(1)]
+            for s in range(n):
+                exact.append(exact[-1] * qf**s * qint[n - s] / qint[n])
+            eig = np.linalg.eigvals(QContext(q, n).entries)
+            np.testing.assert_allclose(np.sort(eig.real), np.sort([float(v) for v in exact]), rtol=0, atol=1e-12)
+            assert np.max(np.abs(eig.imag)) <= 1e-12
+
     def test_nodes_not_an_argument(self):
         with pytest.raises(TypeError):
             QContext(0.9, 4, nodes=np.linspace(0, 1, 5))

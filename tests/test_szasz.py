@@ -185,6 +185,50 @@ class TestSzaszContext:
         assert ctx.M <= HARD_NODE_CAP
 
 
+def bits(a):
+    return a.view(np.uint64)
+
+
+class TestSharedTable:
+    """Node j/n has Poisson mean j at every rate, so I - W depends on M alone."""
+
+    @pytest.mark.parametrize("n, x_max", [(7, 80 / 7), (7.5, 80 / 7.5)])
+    def test_equal_m_shares_one_block(self, n, x_max):
+        a, b = SzaszContext(10, 8.0), SzaszContext(n, x_max)
+        assert a.M == b.M == 358
+        assert np.shares_memory(a.complement, b.complement)
+        assert np.array_equal(bits(a.complement), bits(b.complement))
+
+    def test_smaller_m_is_the_leading_block(self):
+        small, large = SzaszContext(5, 4.0), SzaszContext(60, 7.99)
+        assert small.M < large.M
+        block = large.complement[: small.M + 1, : small.M + 1]
+        assert np.array_equal(bits(small.complement), bits(block))
+
+    def test_above_the_budget_builds_its_own_block(self, monkeypatch):
+        table_block = SzaszContext(10).complement
+        monkeypatch.setattr(szasz, "_TABLE_M_MAX", 100)
+        own = SzaszContext(10).complement
+        assert not np.shares_memory(own, szasz._table)
+        assert np.array_equal(bits(own), bits(table_block))
+        assert not own.flags.writeable
+
+    def test_table_stays_within_16_mib(self, monkeypatch):
+        monkeypatch.setattr(szasz, "_table", np.empty((0, 0)))
+        assert 8 * (szasz._TABLE_M_MAX + 1) ** 2 <= 16 * 2**20 < 8 * (szasz._TABLE_M_MAX + 2) ** 2
+        at, above = SzaszContext(10, 73.41), SzaszContext(10, 73.5)
+        assert at.M == szasz._TABLE_M_MAX < above.M
+        assert np.shares_memory(at.complement, szasz._table)
+        assert not np.shares_memory(above.complement, szasz._table)
+        assert szasz._table.nbytes <= 16 * 2**20
+
+    def test_entries_match_the_pmf_oracle(self):
+        complement = SzaszContext(10).complement
+        for i, j in [(0, 1), (1, 1), (2, 5), (5, 3), (20, 20), (40, 35)]:
+            want = (i == j) - poisson_pmf_oracle(float(j), i)
+            assert complement[i, j] == pytest.approx(want, rel=1e-13, abs=0)
+
+
 class TestSzaszApply:
     def test_constant(self):
         ctx = SzaszContext(10)
